@@ -62,10 +62,11 @@ fn build_store() -> BlotStore<MemBackend> {
 }
 
 /// One round: a fixed ladder of centroid queries of shrinking extent.
-/// Every query runs through `query_traced`, so the instrumented build
-/// pays the full tracing path — root span, per-stage children,
-/// flight-recorder ring writes — and the guard's ratio bounds what
-/// tracing costs, not just counters.
+/// Every query runs through `query_batch_traced` — the entry point the
+/// server's batcher calls — so the instrumented build pays the full
+/// tracing path — root span, per-stage children, flight-recorder ring
+/// writes — and the guard's ratio bounds what tracing costs on the
+/// served path, not just counters.
 fn run_round(store: &BlotStore<MemBackend>) -> usize {
     let u = store.universe();
     let mut returned = 0;
@@ -75,7 +76,9 @@ fn run_round(store: &BlotStore<MemBackend>) -> usize {
             u.centroid(),
             QuerySize::new(u.extent(0) / f, u.extent(1) / f, u.extent(2) / f),
         );
-        returned += store.query_traced(&q, None).unwrap().records.len();
+        for result in store.query_batch_traced(&[TracedQuery::new(q)]) {
+            returned += result.unwrap().records.len();
+        }
     }
     returned
 }

@@ -739,9 +739,9 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             u.centroid(),
             QuerySize::new(u.extent(0) / f, u.extent(1) / f, u.extent(2) / f),
         );
-        store
-            .query_traced(&q, None)
-            .map_err(|e| format!("probe query failed: {e}"))?;
+        for result in store.query_batch_traced(&[TracedQuery::new(q)]) {
+            result.map_err(|e| format!("probe query failed: {e}"))?;
+        }
     }
     for entry in store.drain_slow_queries() {
         eprintln!("{}", entry.to_line());

@@ -130,6 +130,7 @@ fn probe_scan(
             scheme,
             range: None,
         },
+        &blot_obs::SpanHandle::detached(),
     );
     backend.delete(key)?;
     scan

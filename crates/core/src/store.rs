@@ -20,7 +20,7 @@ use blot_obs::{
     names, FlightRecorder, MetricsRegistry, Snapshot, Span, SpanContext, SpanHandle, TraceId,
     TraceSpan,
 };
-use blot_storage::scan::{run_scan, run_scan_traced, ScanReport, ScanTask};
+use blot_storage::scan::{run_scan, ScanReport, ScanTask};
 use blot_storage::sync::Mutex;
 use blot_storage::{Backend, EnvProfile, ScanExecutor, StorageError, UnitKey};
 
@@ -218,6 +218,40 @@ fn partition_id(pid: usize) -> Result<u32, CoreError> {
     u32::try_from(pid).map_err(|_| CoreError::IdOverflow { what: "partition" })
 }
 
+/// One query on its way through [`BlotStore::run_queries`].
+struct QueryPlan<'a> {
+    range: Cuboid,
+    /// Replicas not tried yet, cheapest first.
+    untried: std::vec::IntoIter<u32>,
+    /// Replicas that failed, in the order they were tried.
+    failed_over: Vec<u32>,
+    /// This round's attempt: replica, predicted cost, scan tasks submitted.
+    attempt: Option<(&'a BuiltReplica, f64, usize)>,
+    /// The `store.query` root span of a traced query.
+    root: Option<TraceSpan>,
+    /// Wall-time span of a routed query, recorded when the plan drops.
+    _wall: Option<Span>,
+    /// Set once the query is answered (or out of replicas).
+    answer: Option<Result<QueryResult, CoreError>>,
+}
+
+impl QueryPlan<'_> {
+    /// Closes the root span (annotated from a successful result) and
+    /// stores the answer.
+    fn finish(&mut self, answer: Result<QueryResult, CoreError>) {
+        if let Some(mut span) = self.root.take() {
+            if let Ok(r) = &answer {
+                span.note(names::REPLICA, u64::from(r.replica));
+                span.note(names::UNITS, r.partitions_scanned as u64);
+                span.note(names::UNITS_SKIPPED, r.units_skipped as u64);
+                span.note(names::FAILED_OVER, r.failed_over.len() as u64);
+                span.set_sim_ms(r.sim_ms);
+            }
+        }
+        self.answer = Some(answer);
+    }
+}
+
 /// Scans one storage unit, recording a `scan.unit` span (with
 /// `unit.prune` / `unit.decode` children) under `trace`. A detached
 /// handle takes the exact untraced path.
@@ -228,16 +262,15 @@ fn scan_one_unit(
     trace: &SpanHandle,
 ) -> Result<ScanReport, StorageError> {
     if trace.context().is_none() {
-        return run_scan(backend, env, task);
+        return run_scan(backend, env, task, trace);
     }
     let mut unit = trace.child(names::SCAN_UNIT);
     unit.note(names::PARTITION, u64::from(task.key.partition));
-    let report = run_scan_traced(backend, env, task, &unit.handle());
+    let report = run_scan(backend, env, task, &unit.handle());
     if let Ok(r) = &report {
         unit.note(names::BYTES, r.bytes);
         unit.set_sim_ms(r.sim_ms);
     }
-    unit.finish();
     report
 }
 
@@ -284,8 +317,7 @@ impl<B: Backend + 'static> BlotStore<B> {
     }
 
     /// The store's flight recorder. Traced queries
-    /// ([`query_traced`](Self::query_traced),
-    /// [`query_batch_traced`](Self::query_batch_traced)) record their
+    /// ([`query_batch_traced`](Self::query_batch_traced)) record their
     /// span trees here; untraced queries record nothing.
     #[must_use]
     pub fn recorder(&self) -> &FlightRecorder {
@@ -343,11 +375,6 @@ impl<B: Backend + 'static> BlotStore<B> {
                 .iter()
                 .map(|r| (r.config.encoding, r.obs.drift.snapshot())),
         )
-    }
-
-    /// The backend as a shareable trait object (what pool tasks capture).
-    fn backend_dyn(&self) -> Arc<dyn Backend> {
-        Arc::clone(&self.backend) as Arc<dyn Backend>
     }
 
     /// Starts recording executed query ranges into a bounded
@@ -570,28 +597,16 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// time").
     #[must_use]
     pub fn route(&self, range: &Cuboid) -> Vec<u32> {
-        let mut ranked: Vec<(u32, f64)> = self
+        let mut ranked: Vec<(&BuiltReplica, f64)> = self
             .replicas
             .iter()
-            .map(|r| {
-                #[allow(clippy::cast_precision_loss)]
-                let cost = self.model.concrete_query_cost(
-                    range,
-                    &r.scheme,
-                    r.config.encoding,
-                    r.records as f64,
-                );
-                (r.id, cost.get())
-            })
+            .map(|r| (r, self.predicted_cost(r, range)))
             .collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some(winner) = ranked
-            .first()
-            .and_then(|&(id, _)| self.replicas.get(id as usize))
-        {
+        if let Some((winner, _)) = ranked.first() {
             winner.obs.routed_first.inc();
         }
-        ranked.into_iter().map(|(id, _)| id).collect()
+        ranked.into_iter().map(|(r, _)| r.id).collect()
     }
 
     /// Executes a range query on the estimated-cheapest replica, failing
@@ -603,107 +618,186 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// * [`CoreError::NoReplicas`] — nothing built yet;
     /// * [`CoreError::Storage`] — every replica failed.
     pub fn query(&self, range: &Cuboid) -> Result<QueryResult, CoreError> {
-        if let Some(log) = &self.log {
-            log.lock().observe(range);
-        }
-        self.metrics.queries.inc();
-        let _span = Span::start(&self.metrics.query_wall_ms);
-        let order = self.route(range);
-        self.query_failover(range, &order, Vec::new(), None)
+        let mut answers = self.run_queries(&[TracedQuery::new(*range)], None, false);
+        answers.pop().unwrap_or(Err(CoreError::NoReplicas))
     }
 
-    /// [`query`](Self::query) under a trace: opens a root span in the
-    /// store's flight recorder (joining `ctx` when supplied, otherwise
-    /// starting a fresh trace) with child spans per stage — route,
-    /// per-unit scan (prune + decode, parented across the pool), merge.
+    /// Executes a range query on a specific replica (§II-D: find the
+    /// involved partitions, scan each in a map-only job, filter).
     ///
     /// # Errors
     ///
-    /// Same contract as [`query`](Self::query).
-    pub fn query_traced(
-        &self,
-        range: &Cuboid,
-        ctx: Option<SpanContext>,
-    ) -> Result<QueryResult, CoreError> {
-        if let Some(log) = &self.log {
-            log.lock().observe(range);
-        }
-        self.metrics.queries.inc();
-        let _span = Span::start(&self.metrics.query_wall_ms);
-        let mut root = match ctx {
-            Some(ctx) => self.recorder.span_under(ctx, names::QUERY),
-            None => self.recorder.span(names::QUERY),
-        };
-        let handle = root.handle();
-        let route_span = root.child(names::ROUTE);
-        let order = self.route(range);
-        route_span.finish();
-        let result = self.query_failover_traced(range, &order, Vec::new(), None, &handle);
-        if let Ok(r) = &result {
-            root.note(names::REPLICA, u64::from(r.replica));
-            root.note(names::UNITS, r.partitions_scanned as u64);
-            root.note(names::UNITS_SKIPPED, r.units_skipped as u64);
-            root.note(names::FAILED_OVER, r.failed_over.len() as u64);
-            root.set_sim_ms(r.sim_ms);
-        }
-        root.finish();
-        result
+    /// * [`CoreError::NoSuchReplica`] — unknown id;
+    /// * [`CoreError::Storage`] — a unit could not be read or decoded.
+    pub fn query_on(&self, id: u32, range: &Cuboid) -> Result<QueryResult, CoreError> {
+        let mut answers = self.run_queries(&[TracedQuery::new(*range)], Some(id), false);
+        answers.pop().unwrap_or(Err(CoreError::NoReplicas))
     }
 
-    /// Runs `query_on` down a ranked replica list, recording failovers,
-    /// until one replica answers. `failed_over` and `last_err` seed the
-    /// state for callers (the batch path) that already burned the
-    /// cheapest replica.
-    fn query_failover(
-        &self,
-        range: &Cuboid,
-        order: &[u32],
-        failed_over: Vec<u32>,
-        last_err: Option<StorageError>,
-    ) -> Result<QueryResult, CoreError> {
-        self.query_failover_traced(range, order, failed_over, last_err, &SpanHandle::detached())
+    /// Executes a micro-batch of range queries in **one** pooled
+    /// `execute_all` round: every query is routed to its cheapest
+    /// replica, the scan tasks of all queries are flattened into a
+    /// single batch (so a burst of small queries pays the pool's
+    /// submission overhead once), and per-query results are sliced back
+    /// out in order. A query whose replica fails is re-planned on its
+    /// next-cheapest one in a following round (as in [`Self::query`], a
+    /// batch of one); one query's failure never aborts its neighbours.
+    ///
+    /// The returned vector holds one entry per input range, in input
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// The call itself is infallible; each element is `Err` under the
+    /// same conditions as [`query`](Self::query)
+    /// ([`CoreError::NoReplicas`], [`CoreError::Storage`], …).
+    pub fn query_batch(&self, ranges: &[Cuboid]) -> Vec<Result<QueryResult, CoreError>> {
+        let queries: Vec<TracedQuery> = ranges.iter().copied().map(TracedQuery::new).collect();
+        self.run_queries(&queries, None, false)
     }
 
-    /// [`query_failover`](Self::query_failover) with span recording:
-    /// each attempt's scan round is traced under `trace` (a detached
-    /// handle records nothing).
-    fn query_failover_traced(
+    /// [`query_batch`](Self::query_batch) with span recording: each
+    /// query opens its own `store.query` root span (joining its
+    /// [`TracedQuery::ctx`] when supplied, starting a fresh trace
+    /// otherwise) with child spans per stage — route, per-unit scan
+    /// (prune + decode, parented across the pool), merge — and every
+    /// flattened scan task carries *its* query's span handle into the
+    /// pool, so interleaved queries never cross-contaminate parents.
+    ///
+    /// # Errors
+    ///
+    /// The call itself is infallible; each element is `Err` under the
+    /// same conditions as [`query`](Self::query).
+    pub fn query_batch_traced(
         &self,
-        range: &Cuboid,
-        order: &[u32],
-        mut failed_over: Vec<u32>,
-        mut last_err: Option<StorageError>,
-        trace: &SpanHandle,
-    ) -> Result<QueryResult, CoreError> {
-        for &id in order {
-            match self.query_on_traced(id, range, trace) {
-                Ok(mut result) => {
-                    self.metrics
-                        .records_returned
-                        .add(result.records.len() as u64);
-                    self.metrics.query_failovers.add(failed_over.len() as u64);
-                    result.failed_over = failed_over;
-                    return Ok(result);
+        queries: &[TracedQuery],
+    ) -> Vec<Result<QueryResult, CoreError>> {
+        self.run_queries(queries, None, true)
+    }
+
+    /// The one query pipeline. Each round *plans* every unanswered
+    /// query on its next untried replica, *executes* all their scan
+    /// tasks in one pooled round and *merges* each query's reports; a
+    /// query whose replica failed is re-planned next round. Scan errors
+    /// stay inside the task results so one damaged replica never aborts
+    /// its neighbours.
+    fn run_queries(
+        &self,
+        queries: &[TracedQuery],
+        forced: Option<u32>,
+        traced: bool,
+    ) -> Vec<Result<QueryResult, CoreError>> {
+        let mut plans: Vec<QueryPlan<'_>> = queries
+            .iter()
+            .map(|query| self.start_plan(query, forced, traced))
+            .collect();
+        let env = self.env;
+        let backend: Arc<dyn Backend> = self.backend.clone();
+        while plans.iter().any(|p| p.answer.is_none()) {
+            let mut scans = Vec::new();
+            for plan in plans.iter_mut().filter(|p| p.answer.is_none()) {
+                // An unanswered plan has a replica left unless none is built.
+                let planned = plan.untried.next().ok_or(CoreError::NoReplicas);
+                match planned.and_then(|id| self.plan_on(id, &plan.range)) {
+                    Ok((replica, predicted, tasks)) => {
+                        plan.attempt = Some((replica, predicted, tasks.len()));
+                        let trace = plan.root.as_ref().map(TraceSpan::handle);
+                        scans.extend(tasks.into_iter().map(|task| {
+                            let backend = Arc::clone(&backend);
+                            let trace = trace.clone().unwrap_or_default();
+                            move || Ok(scan_one_unit(backend.as_ref(), &env, &task, &trace))
+                        }));
+                    }
+                    Err(e) => plan.finish(Err(e)),
                 }
-                Err(CoreError::Storage(e)) => {
-                    failed_over.push(id);
-                    last_err = Some(e);
+            }
+            // A round the pool could not finish failed in every task.
+            let n_scans = scans.len();
+            let outcomes = self.pool.execute_all(scans).unwrap_or_else(|_| {
+                let panicked = |_| Err(StorageError::WorkerPanicked);
+                (0..n_scans).map(panicked).collect()
+            });
+            let mut outcomes = outcomes.into_iter();
+            for plan in &mut plans {
+                let Some((replica, predicted, n_tasks)) = plan.attempt.take() else {
+                    continue;
+                };
+                let mut reports = Vec::with_capacity(n_tasks);
+                let mut scan_err = None;
+                for outcome in outcomes.by_ref().take(n_tasks) {
+                    match outcome {
+                        Ok(report) => reports.push(report),
+                        Err(e) => scan_err = scan_err.or(Some(e)),
+                    }
                 }
-                Err(other) => return Err(other),
+                if let Some(e) = scan_err {
+                    plan.failed_over.push(replica.id);
+                    if plan.untried.as_slice().is_empty() {
+                        plan.finish(Err(CoreError::Storage(e)));
+                    }
+                    continue;
+                }
+                let merge_span = plan.root.as_ref().map(|s| s.child(names::MERGE));
+                let trace = plan.root.as_ref().and_then(TraceSpan::context);
+                let mut result = self.assemble(replica, predicted, &reports, trace);
+                drop(merge_span);
+                result.failed_over = std::mem::take(&mut plan.failed_over);
+                if forced.is_none() {
+                    let returned = result.records.len() as u64;
+                    self.metrics.records_returned.add(returned);
+                    let failovers = result.failed_over.len() as u64;
+                    self.metrics.query_failovers.add(failovers);
+                }
+                plan.finish(Ok(result));
             }
         }
-        // Every candidate either returned early or recorded a storage
-        // error; an empty `last_err` can only mean no replica ran.
-        match last_err {
-            Some(e) => Err(CoreError::Storage(e)),
-            None => Err(CoreError::NoReplicas),
+        plans.into_iter().filter_map(|p| p.answer).collect()
+    }
+
+    /// Opens one query's plan. A routed query (`forced` is `None`) is
+    /// logged, counted, timed into `store.query_wall_ms` until its batch
+    /// returns and — when `traced` — given a `store.query` root span; a
+    /// forced one tries exactly that replica and records none of these.
+    fn start_plan(&self, query: &TracedQuery, forced: Option<u32>, traced: bool) -> QueryPlan<'_> {
+        let mut wall = None;
+        if forced.is_none() {
+            if let Some(log) = &self.log {
+                log.lock().observe(&query.range);
+            }
+            self.metrics.queries.inc();
+            wall = Some(Span::start(&self.metrics.query_wall_ms));
+        }
+        let root = traced.then(|| match query.ctx {
+            Some(ctx) => self.recorder.span_under(ctx, names::QUERY),
+            None => self.recorder.span(names::QUERY),
+        });
+        let route_span = root.as_ref().map(|r| r.child(names::ROUTE));
+        let untried = forced.map_or_else(|| self.route(&query.range), |id| vec![id]);
+        drop(route_span);
+        QueryPlan {
+            range: query.range,
+            untried: untried.into_iter(),
+            failed_over: Vec::new(),
+            attempt: None,
+            root,
+            _wall: wall,
+            answer: None,
         }
     }
 
-    /// Plans a query on one replica: predicted `Cost(q, r)` (Eq. 6/7,
-    /// captured before execution so the drift histogram compares the
-    /// same quantity routing used) plus one scan task per involved
-    /// partition.
+    /// The model's `Cost(q, r)` (Eq. 6/7) in simulated ms: what routing
+    /// ranks by and the drift histogram compares measured cost against.
+    fn predicted_cost(&self, replica: &BuiltReplica, range: &Cuboid) -> f64 {
+        #[allow(clippy::cast_precision_loss)]
+        let records = replica.records as f64;
+        self.model
+            .concrete_query_cost(range, &replica.scheme, replica.config.encoding, records)
+            .get()
+    }
+
+    /// Plans a query on one replica: predicted `Cost(q, r)` (captured
+    /// before execution so the drift histogram compares the same
+    /// quantity routing used) plus one scan task per involved partition.
     fn plan_on(
         &self,
         id: u32,
@@ -713,13 +807,6 @@ impl<B: Backend + 'static> BlotStore<B> {
             .replicas
             .get(id as usize)
             .ok_or(CoreError::NoSuchReplica { id })?;
-        #[allow(clippy::cast_precision_loss)]
-        let predicted = self.model.concrete_query_cost(
-            range,
-            &replica.scheme,
-            replica.config.encoding,
-            replica.records as f64,
-        );
         let tasks: Vec<ScanTask> = replica
             .scheme
             .involved(range)
@@ -735,20 +822,19 @@ impl<B: Backend + 'static> BlotStore<B> {
                 })
             })
             .collect::<Result<_, CoreError>>()?;
-        Ok((replica, predicted.get(), tasks))
+        Ok((replica, self.predicted_cost(replica, range), tasks))
     }
 
     /// Turns the per-partition scan reports of one planned query into a
-    /// [`QueryResult`], recording the store and replica instruments
-    /// exactly as a standalone `query_on` would. With one mapper slot
-    /// per task (the paper's fully-parallel configuration) the
-    /// simulated makespan is the longest single task.
+    /// [`QueryResult`], recording the store and replica instruments. With
+    /// one mapper slot per task (the paper's fully-parallel
+    /// configuration) the simulated makespan is the longest single task.
     fn assemble(
         &self,
         replica: &BuiltReplica,
         predicted: f64,
         reports: &[ScanReport],
-        trace: TraceId,
+        trace: Option<SpanContext>,
     ) -> QueryResult {
         let mut records = RecordBatch::new();
         for r in reports {
@@ -783,7 +869,7 @@ impl<B: Backend + 'static> BlotStore<B> {
                     log.pop_front();
                 }
                 log.push_back(SlowQueryEntry {
-                    trace,
+                    trace: trace.map_or(TraceId(0), |c| c.trace),
                     replica: replica.id,
                     scheme: replica.config.encoding,
                     units_scanned: reports.len(),
@@ -804,249 +890,6 @@ impl<B: Backend + 'static> BlotStore<B> {
             bytes_skipped,
             failed_over: Vec::new(),
         }
-    }
-
-    /// Executes a range query on a specific replica (§II-D: find the
-    /// involved partitions, scan each in a map-only job, filter).
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::NoSuchReplica`] — unknown id;
-    /// * [`CoreError::Storage`] — a unit could not be read or decoded.
-    pub fn query_on(&self, id: u32, range: &Cuboid) -> Result<QueryResult, CoreError> {
-        self.query_on_traced(id, range, &SpanHandle::detached())
-    }
-
-    /// [`query_on`](Self::query_on) with span recording under `trace`:
-    /// a `scan` child span covers the pooled round, each unit's task
-    /// opens a `scan.unit` span (with `unit.prune` / `unit.decode`
-    /// children recorded from the worker thread), and a `merge` span
-    /// covers result assembly. A detached handle records nothing and
-    /// takes the exact untraced path.
-    fn query_on_traced(
-        &self,
-        id: u32,
-        range: &Cuboid,
-        trace: &SpanHandle,
-    ) -> Result<QueryResult, CoreError> {
-        let (replica, predicted, tasks) = self.plan_on(id, range)?;
-        let env = self.env;
-        let backend = self.backend_dyn();
-        let traced = trace.context().is_some();
-        let scan_span = traced.then(|| trace.child(names::SCAN));
-        let scan_handle = scan_span
-            .as_ref()
-            .map(TraceSpan::handle)
-            .unwrap_or_default();
-        let closures: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let backend = Arc::clone(&backend);
-                let scan_handle = scan_handle.clone();
-                move || scan_one_unit(backend.as_ref(), &env, &task, &scan_handle)
-            })
-            .collect();
-        let reports = self.pool.execute_all_traced(closures, &scan_handle)?;
-        if let Some(mut span) = scan_span {
-            span.note(names::UNITS, reports.len() as u64);
-            span.finish();
-        }
-        let trace_id = trace.context().map_or(TraceId(0), |c| c.trace);
-        let merge_span = traced.then(|| trace.child(names::MERGE));
-        let result = self.assemble(replica, predicted, &reports, trace_id);
-        drop(merge_span);
-        Ok(result)
-    }
-
-    /// Executes a micro-batch of range queries in **one** pooled
-    /// `execute_all` round: every query is routed to its cheapest
-    /// replica, the scan tasks of all queries are flattened into a
-    /// single batch (so a burst of small queries pays the pool's
-    /// submission overhead once), and per-query results are sliced back
-    /// out in order. A query whose cheapest replica fails falls over to
-    /// the remaining replicas serially, exactly like [`query`]; one
-    /// query's failure never aborts its neighbours.
-    ///
-    /// The returned vector holds one entry per input range, in input
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// The call itself is infallible; each element is `Err` under the
-    /// same conditions as [`query`](Self::query)
-    /// ([`CoreError::NoReplicas`], [`CoreError::Storage`], …).
-    pub fn query_batch(&self, ranges: &[Cuboid]) -> Vec<Result<QueryResult, CoreError>> {
-        let queries: Vec<TracedQuery> = ranges.iter().copied().map(TracedQuery::new).collect();
-        self.query_batch_inner(&queries, false)
-    }
-
-    /// [`query_batch`](Self::query_batch) with span recording: each
-    /// query opens its own root span (joining its [`TracedQuery::ctx`]
-    /// when supplied, starting a fresh trace otherwise), and every
-    /// flattened scan task carries *its* query's span handle into the
-    /// pool — interleaved queries never cross-contaminate parents.
-    ///
-    /// # Errors
-    ///
-    /// The call itself is infallible; each element is `Err` under the
-    /// same conditions as [`query`](Self::query).
-    pub fn query_batch_traced(
-        &self,
-        queries: &[TracedQuery],
-    ) -> Vec<Result<QueryResult, CoreError>> {
-        self.query_batch_inner(queries, true)
-    }
-
-    fn query_batch_inner(
-        &self,
-        queries: &[TracedQuery],
-        traced: bool,
-    ) -> Vec<Result<QueryResult, CoreError>> {
-        struct Pending<'a> {
-            index: usize,
-            range: Cuboid,
-            first: u32,
-            rest: Vec<u32>,
-            replica: &'a BuiltReplica,
-            predicted: f64,
-            n_tasks: usize,
-            span: Option<TraceSpan>,
-        }
-        type ScanClosure = Box<
-            dyn FnOnce() -> Result<Result<ScanReport, StorageError>, StorageError> + Send + 'static,
-        >;
-        let mut results: Vec<Option<Result<QueryResult, CoreError>>> =
-            queries.iter().map(|_| None).collect();
-        let mut pending: Vec<Pending<'_>> = Vec::new();
-        let mut closures: Vec<ScanClosure> = Vec::new();
-        let env = self.env;
-        let shared_backend = self.backend_dyn();
-        for (index, query) in queries.iter().enumerate() {
-            let range = &query.range;
-            if let Some(log) = &self.log {
-                log.lock().observe(range);
-            }
-            self.metrics.queries.inc();
-            let root = traced.then(|| match query.ctx {
-                Some(ctx) => self.recorder.span_under(ctx, names::QUERY),
-                None => self.recorder.span(names::QUERY),
-            });
-            let route_span = root.as_ref().map(|r| r.child(names::ROUTE));
-            let mut order = self.route(range);
-            if let Some(span) = route_span {
-                span.finish();
-            }
-            let planned = match order.first().copied() {
-                None => Some(Err(CoreError::NoReplicas)),
-                Some(first) => match self.plan_on(first, range) {
-                    // Scan failures stay *inside* the closure result so
-                    // one damaged replica aborts only its own query,
-                    // not the whole batch.
-                    Ok((replica, predicted, tasks)) => {
-                        let n_tasks = tasks.len();
-                        let root_handle = root.as_ref().map(TraceSpan::handle).unwrap_or_default();
-                        for task in tasks {
-                            let backend = Arc::clone(&shared_backend);
-                            let scan_handle = root_handle.clone();
-                            closures.push(Box::new(move || {
-                                Ok(scan_one_unit(backend.as_ref(), &env, &task, &scan_handle))
-                            }));
-                        }
-                        order.remove(0);
-                        pending.push(Pending {
-                            index,
-                            range: *range,
-                            first,
-                            rest: order,
-                            replica,
-                            predicted,
-                            n_tasks,
-                            span: root,
-                        });
-                        None
-                    }
-                    Err(e) => Some(Err(e)),
-                },
-            };
-            if let (Some(r), Some(slot)) = (planned, results.get_mut(index)) {
-                *slot = Some(r);
-            }
-        }
-        match self.pool.execute_all(closures) {
-            Ok(outcomes) => {
-                let mut cursor = outcomes.into_iter();
-                for p in pending {
-                    let mut reports = Vec::with_capacity(p.n_tasks);
-                    let mut scan_err: Option<StorageError> = None;
-                    for _ in 0..p.n_tasks {
-                        match cursor.next() {
-                            Some(Ok(report)) => reports.push(report),
-                            Some(Err(e)) => scan_err = Some(e),
-                            None => scan_err = Some(StorageError::WorkerPanicked),
-                        }
-                    }
-                    let trace_id = p
-                        .span
-                        .as_ref()
-                        .and_then(|s| s.context())
-                        .map_or(TraceId(0), |c| c.trace);
-                    let handle = p.span.as_ref().map(TraceSpan::handle).unwrap_or_default();
-                    let result = match scan_err {
-                        None => {
-                            let merge_span = p.span.as_ref().map(|s| s.child(names::MERGE));
-                            let r = self.assemble(p.replica, p.predicted, &reports, trace_id);
-                            drop(merge_span);
-                            self.metrics.records_returned.add(r.records.len() as u64);
-                            Ok(r)
-                        }
-                        // The cheapest replica failed mid-scan: fail
-                        // over down the rest of the ranking, seeded so
-                        // a store with no surviving replica reports the
-                        // storage error, not `NoReplicas`.
-                        Some(e) => self.query_failover_traced(
-                            &p.range,
-                            &p.rest,
-                            vec![p.first],
-                            Some(e),
-                            &handle,
-                        ),
-                    };
-                    if let Some(mut span) = p.span {
-                        if let Ok(r) = &result {
-                            span.note(names::REPLICA, u64::from(r.replica));
-                            span.note(names::UNITS, r.partitions_scanned as u64);
-                            span.note(names::UNITS_SKIPPED, r.units_skipped as u64);
-                            span.note(names::FAILED_OVER, r.failed_over.len() as u64);
-                            span.set_sim_ms(r.sim_ms);
-                        }
-                        span.finish();
-                    }
-                    if let Some(slot) = results.get_mut(p.index) {
-                        *slot = Some(result);
-                    }
-                }
-            }
-            // The pooled round itself died (a task panicked hard
-            // enough to abort the batch): re-run each planned query
-            // through the serial failover path.
-            Err(_) => {
-                for p in pending {
-                    let mut order = Vec::with_capacity(p.rest.len() + 1);
-                    order.push(p.first);
-                    order.extend_from_slice(&p.rest);
-                    let handle = p.span.as_ref().map(TraceSpan::handle).unwrap_or_default();
-                    let result =
-                        self.query_failover_traced(&p.range, &order, Vec::new(), None, &handle);
-                    if let Some(slot) = results.get_mut(p.index) {
-                        *slot = Some(result);
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(CoreError::NoReplicas)))
-            .collect()
     }
 
     /// Reads every storage unit of every replica (verification scans
@@ -1087,6 +930,7 @@ impl<B: Backend + 'static> BlotStore<B> {
                             scheme,
                             range: None,
                         },
+                        &SpanHandle::detached(),
                     ) {
                         Ok(report) => {
                             decodes.inc();
@@ -1231,7 +1075,9 @@ impl<B: Backend + 'static> BlotStore<B> {
                 };
                 let backend: Arc<dyn Backend> = self.backend.clone();
                 let env = self.env;
-                scans.push(move || Ok(run_scan(backend.as_ref(), &env, &task).ok()));
+                scans.push(move || {
+                    Ok(run_scan(backend.as_ref(), &env, &task, &SpanHandle::detached()).ok())
+                });
             }
             for report in self.pool.execute_all(scans)?.into_iter().flatten() {
                 for i in 0..report.output.len() {
@@ -1308,31 +1154,16 @@ impl<B: Backend + 'static> BlotStore<B> {
 pub type SharedStore<B> = Arc<BlotStore<B>>;
 
 /// The query-side surface a serving layer needs, object-safe and
-/// backend-agnostic: answer range queries (singly or micro-batched),
-/// expose the metrics registry and drift report, and share the scan
-/// executor so a server can drain it on shutdown.
+/// backend-agnostic: answer micro-batches of range queries, expose the
+/// metrics registry and drift report, and share the scan executor so a
+/// server can drain it on shutdown.
 pub trait QueryService: Send + Sync {
-    /// Routes and executes one range query with failover.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BlotStore::query`]: [`CoreError::NoReplicas`]
-    /// when the store is empty, [`CoreError::Storage`] when every
-    /// candidate replica failed.
-    fn query(&self, range: &Cuboid) -> Result<QueryResult, CoreError>;
-
-    /// Executes a micro-batch of queries in one pooled round; one entry
-    /// per input range, in order. See [`BlotStore::query_batch`].
-    fn query_batch(&self, ranges: &[Cuboid]) -> Vec<Result<QueryResult, CoreError>>;
-
-    /// Executes a traced micro-batch, recording per-query span trees
-    /// into the service's flight recorder. The default implementation
-    /// ignores trace contexts and delegates to
-    /// [`query_batch`](Self::query_batch).
-    fn query_batch_traced(&self, queries: &[TracedQuery]) -> Vec<Result<QueryResult, CoreError>> {
-        let ranges: Vec<Cuboid> = queries.iter().map(|q| q.range).collect();
-        self.query_batch(&ranges)
-    }
+    /// Routes and executes a micro-batch of queries with failover in one
+    /// pooled round, recording per-query span trees into the service's
+    /// flight recorder. One entry per input query, in order, each `Err`
+    /// under the same contract as [`BlotStore::query`]; see
+    /// [`BlotStore::query_batch_traced`].
+    fn query_batch_traced(&self, queries: &[TracedQuery]) -> Vec<Result<QueryResult, CoreError>>;
 
     /// The service's flight recorder, for serving-layer spans and trace
     /// export. Disabled (records nothing) by default.
@@ -1377,14 +1208,6 @@ pub trait QueryService: Send + Sync {
 }
 
 impl<B: Backend + 'static> QueryService for BlotStore<B> {
-    fn query(&self, range: &Cuboid) -> Result<QueryResult, CoreError> {
-        BlotStore::query(self, range)
-    }
-
-    fn query_batch(&self, ranges: &[Cuboid]) -> Vec<Result<QueryResult, CoreError>> {
-        BlotStore::query_batch(self, ranges)
-    }
-
     fn query_batch_traced(&self, queries: &[TracedQuery]) -> Vec<Result<QueryResult, CoreError>> {
         BlotStore::query_batch_traced(self, queries)
     }
@@ -1709,6 +1532,12 @@ mod tests {
         }
         let batch = store.query_batch(&ranges);
         assert_eq!(batch.len(), ranges.len());
+        if blot_obs::enabled() {
+            // Every batched query is counted and wall-timed, like `query`.
+            assert_eq!(store.metrics().queries.value(), ranges.len() as u64);
+            let wall = store.metrics().query_wall_ms.snapshot();
+            assert_eq!(wall.count(), ranges.len() as u64);
+        }
         for (q, result) in ranges.iter().zip(batch) {
             let got = result.unwrap();
             let serial = store.query(q).unwrap();
@@ -1745,12 +1574,31 @@ mod tests {
         }
     }
 
+    /// The span names every traced query records, whatever its batch size.
+    fn span_tree_names() -> std::collections::BTreeSet<blot_obs::Name> {
+        use blot_obs::names;
+        [
+            names::QUERY,
+            names::ROUTE,
+            names::SCAN_UNIT,
+            names::UNIT_PRUNE,
+            names::UNIT_DECODE,
+            names::MERGE,
+        ]
+        .into_iter()
+        .collect()
+    }
+
     #[test]
     fn traced_query_records_a_parented_span_tree() {
         let (store, data) = small_store();
         let q = test_query(&store);
         let ctx = blot_obs::SpanContext::fresh();
-        let result = store.query_traced(&q, Some(ctx)).unwrap();
+        let traced = TracedQuery {
+            range: q,
+            ctx: Some(ctx),
+        };
+        let result = store.query_batch_traced(&[traced]).pop().unwrap().unwrap();
         assert_eq!(result.records.len(), data.count_in_range(&q));
         if !blot_obs::enabled() {
             return;
@@ -1763,19 +1611,9 @@ mod tests {
             .find(|r| r.name == names::QUERY)
             .expect("root query span must be recorded");
         assert_eq!(root.parent, Some(ctx.span), "root adopts the caller's span");
-        for stage in [
-            names::ROUTE,
-            names::SCAN,
-            names::MERGE,
-            names::SCAN_UNIT,
-            names::UNIT_PRUNE,
-            names::UNIT_DECODE,
-        ] {
-            assert!(
-                in_trace.iter().any(|r| r.name == stage),
-                "stage span {stage} missing from trace"
-            );
-        }
+        // The one span-tree shape: exactly these names, nothing else.
+        let seen: std::collections::BTreeSet<_> = in_trace.iter().map(|r| r.name).collect();
+        assert_eq!(seen, span_tree_names());
         // Every span parents inside the trace (or on the adopted ctx).
         let ids: std::collections::HashSet<_> = in_trace.iter().map(|r| r.span).collect();
         for r in &in_trace {
@@ -1813,11 +1651,11 @@ mod tests {
         let records = store.recorder().snapshot();
         for ctx in &contexts {
             let in_trace: Vec<_> = records.iter().filter(|r| r.trace == ctx.trace).collect();
-            assert!(
-                in_trace
-                    .iter()
-                    .any(|r| r.name == blot_obs::names::SCAN_UNIT),
-                "each interleaved query must record its own unit spans"
+            let seen: std::collections::BTreeSet<_> = in_trace.iter().map(|r| r.name).collect();
+            assert_eq!(
+                seen,
+                span_tree_names(),
+                "each interleaved query records the same tree as a batch of one"
             );
             let ids: std::collections::HashSet<_> = in_trace.iter().map(|r| r.span).collect();
             for r in &in_trace {

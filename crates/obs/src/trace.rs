@@ -48,12 +48,12 @@ pub const MAX_NOTES: usize = 4;
 const VOCAB: &[&str] = &[
     "store.query",      // 0
     "route",            // 1
-    "scan",             // 2
+    "scan",             // 2 (retired: slot kept so later indices hold)
     "merge",            // 3
     "scan.unit",        // 4
     "unit.prune",       // 5
     "unit.decode",      // 6
-    "pool.task",        // 7
+    "pool.task",        // 7 (retired)
     "server.request",   // 8
     "server.admission", // 9
     "server.batch",     // 10
@@ -103,8 +103,6 @@ pub mod names {
     pub const QUERY: Name = Name(0);
     /// Replica choice + task planning stage.
     pub const ROUTE: Name = Name(1);
-    /// The scan stage: all per-unit tasks of one query.
-    pub const SCAN: Name = Name(2);
     /// Result assembly: merge per-unit outputs, drift accounting.
     pub const MERGE: Name = Name(3);
     /// One storage unit's scan task (worker thread).
@@ -113,8 +111,6 @@ pub mod names {
     pub const UNIT_PRUNE: Name = Name(5);
     /// Decode + filter of one unit's payload.
     pub const UNIT_DECODE: Name = Name(6);
-    /// Scan-pool task wrapper (queue wait + execution).
-    pub const POOL_TASK: Name = Name(7);
     /// Server-side root of one remote request.
     pub const SERVER_REQUEST: Name = Name(8);
     /// Admission-queue wait: submit → batch drain.
@@ -147,7 +143,7 @@ pub mod names {
     pub const FAILED_OVER: Name = Name(22);
     /// Key: partition index of a scanned unit.
     pub const PARTITION: Name = Name(23);
-    /// Key: microseconds a pool task waited before running.
+    /// Key: microseconds a request waited in the admission queue.
     pub const QUEUE_US: Name = Name(24);
     /// Coordinator-side root of one scatter-gather query.
     pub const ROUTER_QUERY: Name = Name(25);
@@ -934,8 +930,8 @@ mod tests {
         let rec = FlightRecorder::new(16);
         let mut root = rec.span(names::QUERY);
         root.note(names::REPLICA, 3);
-        let child = root.child(names::SCAN);
-        let grandchild = child.handle().child(names::SCAN_UNIT);
+        let child = root.child(names::SCAN_UNIT);
+        let grandchild = child.handle().child(names::UNIT_DECODE);
         grandchild.finish();
         child.finish();
         let root_ctx = root.context().expect("enabled build");
@@ -943,16 +939,16 @@ mod tests {
         let records = rec.snapshot();
         assert_eq!(records.len(), 3);
         assert!(records.iter().all(|r| r.trace == root_ctx.trace));
+        let decode = records
+            .iter()
+            .find(|r| r.name == names::UNIT_DECODE)
+            .expect("decode span");
         let unit = records
             .iter()
             .find(|r| r.name == names::SCAN_UNIT)
             .expect("unit span");
-        let scan = records
-            .iter()
-            .find(|r| r.name == names::SCAN)
-            .expect("scan span");
-        assert_eq!(unit.parent, Some(scan.span));
-        assert_eq!(scan.parent, Some(root_ctx.span));
+        assert_eq!(decode.parent, Some(unit.span));
+        assert_eq!(unit.parent, Some(root_ctx.span));
         let root_rec = records
             .iter()
             .find(|r| r.name == names::QUERY)
@@ -1052,7 +1048,7 @@ mod tests {
         let mut root = rec.span(names::QUERY);
         root.note(names::UNITS, 2);
         root.set_sim_ms(1.5);
-        root.child(names::SCAN).finish();
+        root.child(names::MERGE).finish();
         root.finish();
         let records = rec.snapshot();
         let json = records_to_json(&records);

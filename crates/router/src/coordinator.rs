@@ -195,21 +195,7 @@ impl Coordinator {
     /// deadline; [`RouterError::ShardFatal`] when a shard answered
     /// with a non-retryable error.
     pub fn query(&self, range: &Cuboid) -> Result<DistributedQueryResult, RouterError> {
-        self.query_traced(range, None)
-    }
-
-    /// Like [`Coordinator::query`], parenting the scatter-gather span
-    /// tree under `parent` (a remote client's wire trace context).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Coordinator::query`].
-    pub fn query_traced(
-        &self,
-        range: &Cuboid,
-        parent: Option<SpanContext>,
-    ) -> Result<DistributedQueryResult, RouterError> {
-        let pending = self.scatter(range, parent);
+        let pending = self.scatter(range, None);
         self.gather(pending)
     }
 

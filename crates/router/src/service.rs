@@ -64,22 +64,6 @@ impl RouterService {
 }
 
 impl QueryService for RouterService {
-    fn query(&self, range: &Cuboid) -> Result<QueryResult, CoreError> {
-        self.inner
-            .query(range)
-            .map(into_query_result)
-            .map_err(CoreError::from)
-    }
-
-    fn query_batch(&self, ranges: &[Cuboid]) -> Vec<Result<QueryResult, CoreError>> {
-        let queries: Vec<(Cuboid, _)> = ranges.iter().map(|r| (*r, None)).collect();
-        self.inner
-            .query_batch_traced(&queries)
-            .into_iter()
-            .map(|r| r.map(into_query_result).map_err(CoreError::from))
-            .collect()
-    }
-
     fn query_batch_traced(&self, queries: &[TracedQuery]) -> Vec<Result<QueryResult, CoreError>> {
         let queries: Vec<(Cuboid, _)> = queries.iter().map(|q| (q.range, q.ctx)).collect();
         self.inner

@@ -7,7 +7,7 @@
 //! without bound and the connection never blocks inside `submit`. A
 //! single batcher thread drains the queue in FIFO order, groups up to
 //! `max_batch` queries, and executes them in **one**
-//! [`QueryService::query_batch`] round, so a burst of small queries
+//! [`QueryService::query_batch_traced`] round, so a burst of small queries
 //! pays the scan-pool submission overhead once instead of per query.
 //!
 //! Results travel back to the waiting connection handler through a
@@ -278,7 +278,7 @@ impl AdmissionQueue {
 }
 
 /// The batcher loop: drains the queue until it is closed *and* empty,
-/// executing each batch in one [`QueryService::query_batch`] round.
+/// executing each batch in one [`QueryService::query_batch_traced`] round.
 /// Run on a dedicated thread by `Server::start`.
 pub fn run_batcher<S: QueryService + ?Sized>(service: &S, queue: &AdmissionQueue) {
     let recorder = service.recorder();

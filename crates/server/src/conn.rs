@@ -5,7 +5,7 @@
 //! these sites): one accept-loop thread, a fixed pool of connection
 //! handlers, and the batcher. All *scan* parallelism still runs on the
 //! shared [`blot_storage::ScanExecutor`], reached through
-//! [`QueryService::query_batch`].
+//! [`QueryService::query_batch_traced`].
 //!
 //! Connection lifecycle: the accept loop admits a socket if the open-
 //! connection count is under `max_conns` (otherwise it replies

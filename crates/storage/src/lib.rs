@@ -22,17 +22,18 @@
 //! measure it back out of the simulator exactly as the paper measures
 //! its clusters.
 //!
-//! [`job::MapOnlyJob`] runs one scan task per involved partition (the
-//! paper's "map-only MapReduce job … with each mapper scanning exactly
-//! one of the involved partitions") on a worker pool, reporting both the
-//! total resource cost (Σ task times — what Definition 7's `Cost`
-//! aggregates) and the wave-based makespan.
-
+//! A query is the paper's "map-only MapReduce job … with each mapper
+//! scanning exactly one of the involved partitions": the store submits
+//! one [`run_scan`](scan::run_scan) closure per involved partition to
+//! the shared [`ScanExecutor`] pool and sums the task times (what
+//! Definition 7's `Cost` aggregates).
+//!
 //! # Example
 //!
 //! ```
 //! use blot_codec::{Compression, EncodingScheme, Layout};
 //! use blot_model::{Record, RecordBatch};
+//! use blot_obs::SpanHandle;
 //! use blot_storage::scan::{run_scan, ScanTask};
 //! use blot_storage::{Backend, EnvProfile, MemBackend, UnitKey};
 //!
@@ -47,6 +48,7 @@
 //!     &backend,
 //!     &EnvProfile::local_cluster(),
 //!     &ScanTask { key, scheme, range: None },
+//!     &SpanHandle::detached(),
 //! )
 //! .unwrap();
 //! assert_eq!(report.records_scanned, 500);
@@ -59,7 +61,6 @@
 mod backend;
 mod env;
 mod error;
-pub mod job;
 pub mod pool;
 pub mod scan;
 pub mod sync;

@@ -5,9 +5,8 @@
 //! parallel ("it is straightforward to conduct parallel query
 //! processing by scanning multiple partitions simultaneously"), and a
 //! production store serves *many* queries at once. Spawning a fresh set
-//! of OS threads per query — what [`crate::job::MapOnlyJob`] did before
-//! this module existed — pays thread-creation latency on every call and
-//! oversubscribes the host as soon as queries overlap. A
+//! of OS threads per query pays thread-creation latency on every call
+//! and oversubscribes the host as soon as queries overlap. A
 //! [`ScanExecutor`] is instead created once (per [`BlotStore`-like
 //! owner]) and shared by every scan, encode, decode and verify task the
 //! store issues.
@@ -43,7 +42,7 @@ use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use blot_obs::{names, Counter, Gauge, Histogram, MetricsRegistry, Span, SpanHandle};
+use blot_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 
 use crate::sync::Mutex;
 use crate::StorageError;
@@ -363,53 +362,6 @@ impl ScanExecutor {
             }
         }
         Ok(out)
-    }
-}
-
-impl ScanExecutor {
-    /// [`execute_all`](Self::execute_all) with an active trace context:
-    /// every task is wrapped in a `pool.task` span parented under
-    /// `trace`, so per-unit spans nest correctly even when the closure
-    /// runs on a pool worker thread. Each span notes how long the task
-    /// waited in the queue (`queue_us`). A detached handle (or an `off`
-    /// build) falls straight through to the untraced path, so untraced
-    /// batches pay nothing.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`execute_all`](Self::execute_all): fail-fast on the
-    /// first [`StorageError`], panics surface as
-    /// [`StorageError::WorkerPanicked`].
-    pub fn execute_all_traced<T, F>(
-        &self,
-        tasks: Vec<F>,
-        trace: &SpanHandle,
-    ) -> Result<Vec<T>, StorageError>
-    where
-        F: FnOnce() -> Result<T, StorageError> + Send + 'static,
-        T: Send + 'static,
-    {
-        if trace.context().is_none() {
-            return self.execute_all(tasks);
-        }
-        let queued = Instant::now();
-        let wrapped: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let trace = trace.clone();
-                move || {
-                    let mut span = trace.child(names::POOL_TASK);
-                    span.note(
-                        names::QUEUE_US,
-                        u64::try_from(queued.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
-                    let out = task();
-                    span.finish();
-                    out
-                }
-            })
-            .collect();
-        self.execute_all(wrapped)
     }
 }
 

@@ -77,29 +77,18 @@ pub struct ScanReport {
 /// units whose stored footer disagrees (or is missing) via
 /// [`ScanReport::footer_mismatch`].
 ///
+/// Under an active `trace` the zone-map footer consult and the
+/// decode+filter pass each record a child span (`unit.prune`,
+/// `unit.decode`), so a query's flight recording attributes per-unit
+/// time to its stages. A detached handle (or an `off` build) records
+/// nothing and skips span bookkeeping.
+///
 /// # Errors
 ///
 /// * [`StorageError::NotFound`] — unit missing;
 /// * [`StorageError::Corrupt`] — unit bytes (or its footer) no longer
 ///   decode.
 pub fn run_scan(
-    backend: &dyn Backend,
-    env: &EnvProfile,
-    task: &ScanTask,
-) -> Result<ScanReport, StorageError> {
-    run_scan_traced(backend, env, task, &SpanHandle::detached())
-}
-
-/// [`run_scan`] with an active trace context: the zone-map footer
-/// consult and the decode+filter pass each record a child span
-/// (`unit.prune`, `unit.decode`) under `trace`, so a query's flight
-/// recording attributes per-unit time to its stages. A detached handle
-/// (or an `off` build) records nothing and skips span bookkeeping.
-///
-/// # Errors
-///
-/// Same as [`run_scan`].
-pub fn run_scan_traced(
     backend: &dyn Backend,
     env: &EnvProfile,
     task: &ScanTask,
@@ -251,6 +240,7 @@ mod tests {
                 scheme,
                 range: Some(range),
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert_eq!(report.records_scanned, batch.len());
@@ -271,6 +261,7 @@ mod tests {
                 scheme,
                 range: None,
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert_eq!(report.output.len(), batch.len());
@@ -291,7 +282,8 @@ mod tests {
                     key: missing,
                     scheme,
                     range: None
-                }
+                },
+                &SpanHandle::detached(),
             ),
             Err(StorageError::NotFound { .. })
         ));
@@ -306,7 +298,8 @@ mod tests {
                     key,
                     scheme,
                     range: None
-                }
+                },
+                &SpanHandle::detached(),
             ),
             Err(StorageError::Corrupt { .. })
         ));
@@ -328,6 +321,7 @@ mod tests {
                 scheme,
                 range: Some(range),
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(report.pruned);
@@ -352,6 +346,7 @@ mod tests {
                 scheme,
                 range: Some(hit),
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(!report.pruned);
@@ -380,6 +375,7 @@ mod tests {
                 scheme,
                 range: Some(range),
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(!report.pruned);
@@ -395,6 +391,7 @@ mod tests {
                 scheme,
                 range: None,
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(report.footer_mismatch);
@@ -421,6 +418,7 @@ mod tests {
                     scheme,
                     range: Some(range),
                 },
+                &SpanHandle::detached(),
             ),
             Err(StorageError::Corrupt { .. })
         ));
@@ -446,6 +444,7 @@ mod tests {
                 scheme,
                 range: None,
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(report.footer_mismatch);
@@ -462,6 +461,7 @@ mod tests {
                 scheme,
                 range: None,
             },
+            &SpanHandle::detached(),
         )
         .unwrap();
         assert!(report.extra_ms / report.sim_ms > 0.9);

@@ -1,4 +1,4 @@
-//! Property tests for storage backends and job scheduling.
+//! Property tests for storage backends.
 
 // Test code: panicking on setup failure is the desired behaviour.
 #![allow(
@@ -77,51 +77,5 @@ proptest! {
         let mut keys: Vec<UnitKey> = model.keys().copied().collect();
         keys.sort_unstable();
         prop_assert_eq!(backend.list(), keys);
-    }
-}
-
-/// The makespan helper is private; exercise it through MapOnlyJob by
-/// constructing jobs over an in-memory backend with plain units.
-mod makespan_bounds {
-    use super::*;
-    use blot_codec::{Compression, EncodingScheme, Layout};
-    use blot_model::{Record, RecordBatch};
-    use blot_storage::job::MapOnlyJob;
-    use blot_storage::scan::ScanTask;
-    use blot_storage::{EnvProfile, ScanExecutor};
-    use std::sync::Arc;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn makespan_respects_classic_bounds(
-            sizes in prop::collection::vec(10usize..300, 1..12),
-            slots in 1usize..6,
-        ) {
-            let scheme = EncodingScheme::new(Layout::Row, Compression::Plain);
-            let backend = MemBackend::new();
-            let mut tasks = Vec::new();
-            for (p, &n) in sizes.iter().enumerate() {
-                let batch: RecordBatch =
-                    (0..n).map(|i| Record::new(i as u32, i as i64, 121.0, 31.0)).collect();
-                let key = UnitKey { replica: 0, partition: p as u32 };
-                backend.put(key, scheme.encode(&batch)).unwrap();
-                tasks.push(ScanTask { key, scheme, range: None });
-            }
-            let job = MapOnlyJob { tasks, slots };
-            let pool = ScanExecutor::new(4);
-            let backend: Arc<dyn Backend> = Arc::new(backend);
-            let report = job.run(&pool, &backend, &EnvProfile::local_cluster()).unwrap();
-            let durations: Vec<f64> = report.reports.iter().map(|r| r.sim_ms).collect();
-            let longest = durations.iter().copied().fold(0.0, f64::max);
-            let total: f64 = durations.iter().sum();
-            // max ≤ makespan ≤ total, and makespan ≥ total / slots.
-            prop_assert!(report.makespan_ms + 1e-9 >= longest);
-            prop_assert!(report.makespan_ms <= total + 1e-9);
-            prop_assert!(report.makespan_ms + 1e-9 >= total / slots as f64);
-            // Graham's list-scheduling bound: Cmax ≤ total/m + longest.
-            prop_assert!(report.makespan_ms <= total / slots as f64 + longest + 1e-6);
-        }
     }
 }

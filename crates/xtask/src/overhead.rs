@@ -8,8 +8,9 @@
 //! by scheduler noise, so the ratio isolates what the instrumentation
 //! itself costs on the query hot path.
 //!
-//! The probe drives `query_traced`, so the instrumented run pays the
-//! full tracing path (spans + flight-recorder writes). Besides the
+//! The probe drives `query_batch_traced` (the one traced entry point,
+//! which every served query goes through), so the instrumented run pays
+//! the full tracing path (spans + flight-recorder writes). Besides the
 //! ratio budget, the guard checks the probe's `spans` count: positive
 //! with tracing compiled in, exactly zero in the `off` build.
 

@@ -1,0 +1,157 @@
+//! Every query entry point answers like a linear scan of the raw data,
+//! and all of them fail over — or fail — the same way.
+//!
+//! `query`, `query_on`, `query_batch` and `query_batch_traced` are one
+//! plan → execute → merge pipeline under four signatures; this file pins
+//! what they must agree on, healthy and damaged.
+
+// Test code: panicking on setup failure is the desired behaviour.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+use blot::core::prelude::*;
+use blot::core::CoreError;
+use blot::storage::{EnvProfile, FailingBackend, FailureMode, MemBackend, UnitKey};
+use blot::tracegen::FleetConfig;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+type Store = BlotStore<FailingBackend<MemBackend>>;
+type Answer = Result<QueryResult, CoreError>;
+
+fn store_and_data() -> (Store, RecordBatch) {
+    let mut config = FleetConfig::small();
+    config.num_taxis = 40;
+    config.records_per_taxi = 100;
+    config.seed = 0x9A7B;
+    let data = config.generate();
+    let env = EnvProfile::local_cluster();
+    let model = CostModel::calibrate(&env, &data, 0x9A7B);
+    let backend = FailingBackend::new(MemBackend::new());
+    let mut store = BlotStore::new(backend, env, config.universe(), model);
+    for (spec, layout, compression) in [
+        (SchemeSpec::new(16, 4), Layout::Row, Compression::Lzf),
+        (SchemeSpec::new(4, 2), Layout::Column, Compression::Deflate),
+        (SchemeSpec::new(64, 2), Layout::Row, Compression::Plain),
+    ] {
+        let config = ReplicaConfig::new(spec, EncodingScheme::new(layout, compression));
+        store.build_replica(&data, config).unwrap();
+    }
+    (store, data)
+}
+
+/// Seeded boxes from a sliver to most of the universe, all inside it.
+fn ranges(universe: &Cuboid, n: usize) -> Vec<Cuboid> {
+    let mut rng = SmallRng::seed_from_u64(0x51DE);
+    (0..n)
+        .map(|_| {
+            let (mut lo, mut hi) = (universe.min(), universe.max());
+            for axis in 0..3 {
+                let extent = universe.extent(axis);
+                let size = extent * rng.gen_range(0.02..0.7);
+                let start = lo.axis(axis) + (extent - size) * rng.gen_range(0.0..1.0);
+                lo = lo.with_axis(axis, start);
+                hi = hi.with_axis(axis, start + size);
+            }
+            Cuboid::new(lo, hi)
+        })
+        .collect()
+}
+
+fn sorted(mut records: RecordBatch) -> RecordBatch {
+    records.sort_by_oid_time();
+    records
+}
+
+/// The linear-filter oracle, in canonical order.
+fn oracle(data: &RecordBatch, range: &Cuboid) -> RecordBatch {
+    sorted(data.filter_range(range))
+}
+
+/// `query`, `query_batch` and `query_batch_traced` over all `ranges`:
+/// one answer per range from each routed entry point.
+fn routed_answers(store: &Store, ranges: &[Cuboid]) -> [Vec<Answer>; 3] {
+    let traced: Vec<TracedQuery> = ranges.iter().copied().map(TracedQuery::new).collect();
+    [
+        ranges.iter().map(|q| store.query(q)).collect(),
+        store.query_batch(ranges),
+        store.query_batch_traced(&traced),
+    ]
+}
+
+fn first_involved_unit(store: &Store, replica: u32, range: &Cuboid) -> UnitKey {
+    let scheme = &store.replicas()[replica as usize].scheme;
+    UnitKey {
+        replica,
+        partition: u32::try_from(scheme.involved(range)[0]).unwrap(),
+    }
+}
+
+#[test]
+fn all_entry_points_agree_with_the_oracle_healthy_and_damaged() {
+    let (store, data) = store_and_data();
+    let ranges = ranges(&store.universe(), 32);
+    assert!(ranges.iter().any(|q| data.count_in_range(q) > 0));
+
+    // Healthy: four entry points, one answer.
+    let [single, batch, traced] = routed_answers(&store, &ranges);
+    for (i, q) in ranges.iter().enumerate() {
+        let want = oracle(&data, q);
+        let cheapest = store.route(q)[0];
+        let forced = store.query_on(cheapest, q).unwrap();
+        assert_eq!(sorted(forced.records), want, "query_on, range {i}");
+        for (path, answers) in [("query", &single), ("batch", &batch), ("traced", &traced)] {
+            let got = answers[i].as_ref().unwrap();
+            assert_eq!(sorted(got.records.clone()), want, "{path}, range {i}");
+            assert_eq!(got.replica, cheapest, "{path}, range {i}");
+            assert!(got.failed_over.is_empty(), "{path}, range {i}");
+        }
+    }
+
+    // One unit of range 0's cheapest replica fails: every routed entry
+    // point fails over identically; the forced one reports the damage.
+    let victim = store.route(&ranges[0])[0];
+    let lost = first_involved_unit(&store, victim, &ranges[0]);
+    store.backend().inject(lost, FailureMode::Drop);
+    let [single, batch, traced] = routed_answers(&store, &ranges);
+    for (i, q) in ranges.iter().enumerate() {
+        let want = oracle(&data, q);
+        let first = single[i].as_ref().unwrap();
+        for (path, answers) in [("query", &single), ("batch", &batch), ("traced", &traced)] {
+            let got = answers[i].as_ref().unwrap();
+            assert_eq!(sorted(got.records.clone()), want, "{path}, range {i}");
+            assert_eq!(got.replica, first.replica, "{path}, range {i}");
+            assert_eq!(got.failed_over, first.failed_over, "{path}, range {i}");
+        }
+    }
+    assert_eq!(single[0].as_ref().unwrap().failed_over, vec![victim]);
+    assert!(matches!(
+        store.query_on(victim, &ranges[0]),
+        Err(CoreError::Storage(_))
+    ));
+
+    // Every replica damaged under range 0: a structured storage error
+    // from every entry point, never a short answer and never `NoReplicas`.
+    for replica in store.replicas() {
+        let key = first_involved_unit(&store, replica.id, &ranges[0]);
+        store.backend().inject(key, FailureMode::Drop);
+    }
+    for answers in routed_answers(&store, &ranges) {
+        assert!(matches!(answers[0], Err(CoreError::Storage(_))));
+        for (i, (q, answer)) in ranges.iter().zip(&answers).enumerate() {
+            match answer {
+                Ok(got) => assert_eq!(sorted(got.records.clone()), oracle(&data, q), "range {i}"),
+                Err(e) => assert!(matches!(e, CoreError::Storage(_)), "range {i}: {e}"),
+            }
+        }
+    }
+    for replica in store.replicas() {
+        assert!(matches!(
+            store.query_on(replica.id, &ranges[0]),
+            Err(CoreError::Storage(_))
+        ));
+    }
+}
