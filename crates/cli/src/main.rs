@@ -5,6 +5,7 @@
 //! blot build    --data fleet.csv --store ./store --replica S16xT8/ROW-SNAPPY [--replica …]
 //! blot info     --store ./store
 //! blot query    --store ./store --center LON,LAT,T --size W,H,T [--limit 5]
+//! blot explain  --store ./store --center LON,LAT,T --size W,H,T
 //! blot select   --data fleet.csv --budget-copies 3 [--exact] [--records 65000000]
 //! blot scrub    --store ./store
 //! blot repair   --store ./store
@@ -65,6 +66,7 @@ fn main() -> ExitCode {
         "build" => cmd_build(&args),
         "info" => cmd_info(&args),
         "query" => cmd_query(&args),
+        "explain" => cmd_explain(&args),
         "select" => cmd_select(&args),
         "scrub" => cmd_scrub(&args),
         "repair" => cmd_repair(&args),
@@ -96,6 +98,7 @@ commands:
   info      --store DIR
   query     --store DIR --center LON,LAT,T --size W,H,T [--limit N] [--replica-id N]
   query     --remote ADDR --center LON,LAT,T --size W,H,T [--limit N] [--trace]
+  explain   --store DIR --center LON,LAT,T --size W,H,T
   select    --data FILE [--budget-copies X] [--exact] [--records N] [--env local|cloud]
   scrub     --store DIR
   repair    --store DIR
@@ -305,10 +308,50 @@ fn print_query_result(
     }
 }
 
-fn cmd_query(args: &Args) -> Result<(), String> {
+/// The query range `--center LON,LAT,T --size W,H,T` describes.
+fn parse_range(args: &Args) -> Result<Cuboid, String> {
     let (cx, cy, ct) = parse_triple(args.require("center")?, "--center")?;
     let (w, h, t) = parse_triple(args.require("size")?, "--size")?;
-    let range = Cuboid::from_centroid(Point::new(cx, cy, ct), QuerySize::new(w, h, t));
+    Ok(Cuboid::from_centroid(
+        Point::new(cx, cy, ct),
+        QuerySize::new(w, h, t),
+    ))
+}
+
+/// `blot explain`: how the store would answer a range on each replica —
+/// predicted cost, and what the in-memory partition index prunes —
+/// without reading a unit. The replica `query` would try first is
+/// marked.
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let range = parse_range(args)?;
+    let store = open_store(args)?;
+    let routed = store.route(&range).first().copied();
+    for replica in store.replicas() {
+        let plan = store
+            .plan_on(replica.id, &range)
+            .map_err(|e| e.to_string())?;
+        pipe_println(&format!(
+            "replica {}: {} — predicted {:.0} simulated ms; {} units involved, {} pruned, \
+             {} surviving ({:.1} KiB){}",
+            replica.id,
+            replica.config,
+            plan.predicted_ms,
+            plan.units_involved,
+            plan.units_skipped,
+            plan.tasks.len(),
+            plan.surviving_bytes as f64 / 1024.0,
+            if routed == Some(replica.id) {
+                "  <- routed"
+            } else {
+                ""
+            }
+        ));
+    }
+    Ok(())
+}
+
+fn cmd_query(args: &Args) -> Result<(), String> {
+    let range = parse_range(args)?;
     let limit = args.get_parsed::<usize>("limit")?.unwrap_or(5);
     // A coordinator speaks the same wire protocol as a single server;
     // `--coordinator` is routing documentation, not a different client.

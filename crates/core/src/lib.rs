@@ -90,7 +90,8 @@ pub mod prelude {
         Selection,
     };
     pub use crate::store::{
-        BlotStore, QueryResult, QueryService, SharedStore, SlowQueryEntry, TracedQuery,
+        BlotStore, QueryResult, QueryService, ScanPlan, SharedStore, SlowQueryEntry, TracedQuery,
+        UnitEntry,
     };
     pub use crate::units::{Bytes, Millis, PartitionCount, Seconds};
     pub use crate::CoreError;

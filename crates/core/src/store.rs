@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blot_codec::EncodingScheme;
+use blot_codec::{EncodingScheme, ZoneMap, ZONE_MAP_FOOTER_LEN};
 use blot_geo::Cuboid;
 use blot_index::PartitioningScheme;
 use blot_model::RecordBatch;
@@ -21,7 +21,7 @@ use blot_obs::{
     TraceSpan,
 };
 use blot_storage::scan::{run_scan, ScanReport, ScanTask};
-use blot_storage::sync::Mutex;
+use blot_storage::sync::{Mutex, RwLock};
 use blot_storage::{Backend, EnvProfile, ScanExecutor, StorageError, UnitKey};
 
 use crate::adapt::QueryLog;
@@ -47,6 +47,88 @@ pub struct BuiltReplica {
     /// Per-replica instrument handles (routing wins, query costs,
     /// cost-model drift).
     pub obs: ReplicaMetrics,
+    /// The zone-map half of the in-memory partition index: one entry
+    /// per storage unit, in partition order, refreshed at every write
+    /// the store performs (build, ingest, repair) and read back from the
+    /// unit footers on restore.
+    zones: RwLock<Vec<UnitEntry>>,
+}
+
+impl BuiltReplica {
+    /// A copy of the partition index's per-unit entries, in partition
+    /// order.
+    #[must_use]
+    pub fn unit_entries(&self) -> Vec<UnitEntry> {
+        self.zones.read().clone()
+    }
+
+    /// Records what was just written as unit `pid`.
+    fn set_entry(&self, pid: usize, entry: UnitEntry) {
+        if let Some(slot) = self.zones.write().get_mut(pid) {
+            *slot = entry;
+        }
+    }
+}
+
+/// What the in-memory partition index knows about one storage unit,
+/// taken from the very bytes handed to [`Backend::put`]. The on-disk
+/// footer stays the only persistent copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct UnitEntry {
+    /// The unit's zone map; `None` when its footer is missing (legacy
+    /// unit) or unreadable — such a unit is never pruned, only scanned.
+    pub zone_map: Option<ZoneMap>,
+    /// The unit's length in bytes.
+    pub len: u64,
+}
+
+impl UnitEntry {
+    /// The entry of a unit `len` bytes long that ends in `tail` (the
+    /// whole unit, or at least its last [`ZONE_MAP_FOOTER_LEN`] bytes).
+    fn new(tail: &[u8], len: u64) -> Self {
+        let zone_map = ZoneMap::split_footer(tail).ok().and_then(|(_, zm)| zm);
+        Self { zone_map, len }
+    }
+
+    /// The entry of a whole encoded unit.
+    fn of(unit: &[u8]) -> Self {
+        Self::new(unit, unit.len() as u64)
+    }
+
+    /// Bit-exact agreement (see [`ZoneMap::same_bits`]); two missing
+    /// zone maps agree.
+    #[must_use]
+    pub fn same_bits(&self, other: &Self) -> bool {
+        self.len == other.len
+            && match (&self.zone_map, &other.zone_map) {
+                (Some(a), Some(b)) => a.same_bits(b),
+                (None, None) => true,
+                _ => false,
+            }
+    }
+}
+
+/// One query planned on one replica, before any I/O: what it is
+/// predicted to cost, which involved units the partition index ruled
+/// out, and one scan task per surviving unit.
+#[derive(Debug, Clone)]
+pub struct ScanPlan {
+    /// Replica planned on.
+    pub replica: u32,
+    /// The model's `Cost(q, r)` in simulated ms — a function of the
+    /// involved partitions only, not (yet) of the survivors.
+    pub predicted_ms: f64,
+    /// Partitions the range touches, pruned ones included.
+    pub units_involved: usize,
+    /// Of those, ruled out by their zone map: no task, no backend call,
+    /// 0 simulated ms.
+    pub units_skipped: usize,
+    /// Payload bytes the skipped units will never transfer.
+    pub bytes_skipped: u64,
+    /// Total length of the surviving units.
+    pub surviving_bytes: u64,
+    /// One scan task per surviving unit, in partition order.
+    pub tasks: Vec<ScanTask>,
 }
 
 /// Result of one range query.
@@ -60,11 +142,11 @@ pub struct QueryResult {
     pub sim_ms: f64,
     /// Simulated wall-clock with fully parallel mappers.
     pub makespan_ms: f64,
-    /// Involved partitions scanned.
+    /// Involved partitions planned.
     pub partitions_scanned: usize,
-    /// Involved partitions skipped via their zone-map footer — counted
-    /// within `partitions_scanned` (they were planned and charged a
-    /// footer read, but their payload was never fetched).
+    /// Involved partitions the partition index's zone maps ruled out at
+    /// plan time — counted within `partitions_scanned`, but never
+    /// scanned: no backend call, 0 simulated ms.
     pub units_skipped: usize,
     /// Payload bytes the skipped partitions never transferred.
     pub bytes_skipped: u64,
@@ -103,9 +185,9 @@ pub struct SlowQueryEntry {
     pub replica: u32,
     /// That replica's encoding scheme.
     pub scheme: EncodingScheme,
-    /// Involved storage units scanned (including footer-skipped ones).
+    /// Involved storage units planned (including zone-map-skipped ones).
     pub units_scanned: usize,
-    /// Involved units skipped via their zone-map footer.
+    /// Involved units skipped via their zone map.
     pub units_skipped: usize,
     /// The cost model's predicted `Cost(q, r)` in simulated ms.
     pub predicted_ms: f64,
@@ -163,10 +245,11 @@ pub struct RepairReport {
     pub units_repaired: u64,
     /// Damaged units with no surviving source (`unrecoverable.len()`).
     pub units_failed: u64,
-    /// Units flagged because their zone-map footer disagreed with (or
-    /// was missing for) the decoded payload — a subset of the damaged
-    /// count. Repair rewrites them with a fresh footer. Sourced from the
-    /// store metrics: 0 when `blot-obs` is compiled out.
+    /// Units flagged because their zone-map footer — or their entry in
+    /// the partition index — disagreed with (or was missing for) the
+    /// decoded payload — a subset of the damaged count. Repair rewrites
+    /// them with a fresh footer and entry. Sourced from the store
+    /// metrics: 0 when `blot-obs` is compiled out.
     pub units_footer_mismatch: u64,
 }
 
@@ -225,8 +308,8 @@ struct QueryPlan<'a> {
     untried: std::vec::IntoIter<u32>,
     /// Replicas that failed, in the order they were tried.
     failed_over: Vec<u32>,
-    /// This round's attempt: replica, predicted cost, scan tasks submitted.
-    attempt: Option<(&'a BuiltReplica, f64, usize)>,
+    /// This round's attempt: the replica and the query's plan on it.
+    attempt: Option<(&'a BuiltReplica, ScanPlan)>,
     /// The `store.query` root span of a traced query.
     root: Option<TraceSpan>,
     /// Wall-time span of a routed query, recorded when the plan drops.
@@ -252,9 +335,9 @@ impl QueryPlan<'_> {
     }
 }
 
-/// Scans one storage unit, recording a `scan.unit` span (with
-/// `unit.prune` / `unit.decode` children) under `trace`. A detached
-/// handle takes the exact untraced path.
+/// Scans one storage unit, recording a `scan.unit` span (with a
+/// `unit.decode` child) under `trace`. A detached handle takes the
+/// exact untraced path.
 fn scan_one_unit(
     backend: &dyn Backend,
     env: &EnvProfile,
@@ -458,9 +541,11 @@ impl<B: Backend + 'static> BlotStore<B> {
             .collect();
         let units = self.pool.execute_all(encodes)?;
         let mut bytes = 0u64;
+        let mut zones = Vec::with_capacity(keys.len());
         for (key, unit) in keys.into_iter().zip(units) {
             bytes += unit.len() as u64;
             self.metrics.build_units.inc();
+            zones.push(UnitEntry::of(&unit));
             self.backend.put(key, unit)?;
         }
         self.replicas.push(BuiltReplica {
@@ -470,20 +555,25 @@ impl<B: Backend + 'static> BlotStore<B> {
             records: data.len() as u64,
             bytes,
             obs: self.metrics.replica(id, config.encoding),
+            zones: RwLock::new(zones),
         });
         Ok(id)
     }
 
     /// Re-attaches a replica whose storage units already exist in the
     /// backend (e.g. after reopening an on-disk store): no units are
-    /// written, only the in-memory metadata is restored. The caller is
-    /// responsible for `scheme` matching what the units were built with
-    /// — [`scrub`](Self::scrub) will flag any mismatch as corruption.
+    /// written, only the in-memory metadata is restored — the partition
+    /// index's zone maps with one footer-sized tail read per unit. A
+    /// unit that is missing or whose footer does not parse gets an entry
+    /// that never prunes, so queries touching it scan it and fail over.
+    /// The caller is responsible for `scheme` matching what the units
+    /// were built with — [`scrub`](Self::scrub) will flag any mismatch
+    /// as corruption.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::IdOverflow`] if the store already holds
-    /// `u32::MAX` replicas.
+    /// `u32::MAX` replicas (or the scheme `u32::MAX` partitions).
     pub fn restore_replica(
         &mut self,
         config: ReplicaConfig,
@@ -493,6 +583,17 @@ impl<B: Backend + 'static> BlotStore<B> {
     ) -> Result<u32, CoreError> {
         let id = u32::try_from(self.replicas.len())
             .map_err(|_| CoreError::IdOverflow { what: "replica" })?;
+        let mut zones = Vec::with_capacity(scheme.len());
+        for pid in 0..scheme.len() {
+            let key = UnitKey {
+                replica: id,
+                partition: partition_id(pid)?,
+            };
+            zones.push(match self.backend.get_tail(key, ZONE_MAP_FOOTER_LEN) {
+                Ok((tail, len)) => UnitEntry::new(&tail, len),
+                Err(_) => UnitEntry::default(),
+            });
+        }
         self.replicas.push(BuiltReplica {
             id,
             config,
@@ -500,6 +601,7 @@ impl<B: Backend + 'static> BlotStore<B> {
             records,
             bytes,
             obs: self.metrics.replica(id, config.encoding),
+            zones: RwLock::new(zones),
         });
         Ok(id)
     }
@@ -580,7 +682,9 @@ impl<B: Backend + 'static> BlotStore<B> {
             let rewritten = self.pool.execute_all(rewrites)?;
             for ((pid, added), (key, old_len, unit)) in meta.into_iter().zip(rewritten) {
                 replica.bytes = replica.bytes - old_len as u64 + unit.len() as u64;
+                let entry = UnitEntry::of(&unit);
                 self.backend.put(key, unit)?;
+                replica.set_entry(pid, entry);
                 replica.scheme.note_insertions(pid, added)?;
                 self.metrics.ingest_units_rewritten.inc();
                 report.units_rewritten += 1;
@@ -680,7 +784,8 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// tasks in one pooled round and *merges* each query's reports; a
     /// query whose replica failed is re-planned next round. Scan errors
     /// stay inside the task results so one damaged replica never aborts
-    /// its neighbours.
+    /// its neighbours. A round whose plans pruned every unit gives the
+    /// pool nothing to run.
     fn run_queries(
         &self,
         queries: &[TracedQuery],
@@ -696,22 +801,23 @@ impl<B: Backend + 'static> BlotStore<B> {
         while plans.iter().any(|p| p.answer.is_none()) {
             let mut scans = Vec::new();
             for plan in plans.iter_mut().filter(|p| p.answer.is_none()) {
-                // An unanswered plan has a replica left unless none is built.
-                let planned = plan.untried.next().ok_or(CoreError::NoReplicas);
-                match planned.and_then(|id| self.plan_on(id, &plan.range)) {
-                    Ok((replica, predicted, tasks)) => {
-                        plan.attempt = Some((replica, predicted, tasks.len()));
-                        let trace = plan.root.as_ref().map(TraceSpan::handle);
-                        scans.extend(tasks.into_iter().map(|task| {
-                            let backend = Arc::clone(&backend);
-                            let trace = trace.clone().unwrap_or_default();
-                            move || Ok(scan_one_unit(backend.as_ref(), &env, &task, &trace))
-                        }));
-                    }
-                    Err(e) => plan.finish(Err(e)),
+                if plan.attempt.is_none() {
+                    let span = plan.root.as_ref().map(|r| r.child(names::ROUTE));
+                    self.plan_next(plan, span);
                 }
+                let Some((_, attempt)) = &plan.attempt else {
+                    continue;
+                };
+                let trace = plan.root.as_ref().map(TraceSpan::handle);
+                scans.extend(attempt.tasks.iter().map(|&task| {
+                    let backend = Arc::clone(&backend);
+                    let trace = trace.clone().unwrap_or_default();
+                    move || Ok(scan_one_unit(backend.as_ref(), &env, &task, &trace))
+                }));
             }
-            // A round the pool could not finish failed in every task.
+            // A round the pool could not finish failed in every task. (An
+            // all-pruned round is empty: `execute_all` returns at once,
+            // touching neither the workers nor the pool's instruments.)
             let n_scans = scans.len();
             let outcomes = self.pool.execute_all(scans).unwrap_or_else(|_| {
                 let panicked = |_| Err(StorageError::WorkerPanicked);
@@ -719,9 +825,10 @@ impl<B: Backend + 'static> BlotStore<B> {
             });
             let mut outcomes = outcomes.into_iter();
             for plan in &mut plans {
-                let Some((replica, predicted, n_tasks)) = plan.attempt.take() else {
+                let Some((replica, attempt)) = plan.attempt.take() else {
                     continue;
                 };
+                let n_tasks = attempt.tasks.len();
                 let mut reports = Vec::with_capacity(n_tasks);
                 let mut scan_err = None;
                 for outcome in outcomes.by_ref().take(n_tasks) {
@@ -739,7 +846,7 @@ impl<B: Backend + 'static> BlotStore<B> {
                 }
                 let merge_span = plan.root.as_ref().map(|s| s.child(names::MERGE));
                 let trace = plan.root.as_ref().and_then(TraceSpan::context);
-                let mut result = self.assemble(replica, predicted, &reports, trace);
+                let mut result = self.assemble(replica, &attempt, &reports, trace);
                 drop(merge_span);
                 result.failed_over = std::mem::take(&mut plan.failed_over);
                 if forced.is_none() {
@@ -754,10 +861,12 @@ impl<B: Backend + 'static> BlotStore<B> {
         plans.into_iter().filter_map(|p| p.answer).collect()
     }
 
-    /// Opens one query's plan. A routed query (`forced` is `None`) is
-    /// logged, counted, timed into `store.query_wall_ms` until its batch
-    /// returns and — when `traced` — given a `store.query` root span; a
-    /// forced one tries exactly that replica and records none of these.
+    /// Opens one query's plan and plans its first attempt. A routed
+    /// query (`forced` is `None`) is logged, counted, timed into
+    /// `store.query_wall_ms` until its batch returns and — when `traced`
+    /// — given a `store.query` root span whose first `route` child covers
+    /// the ranking and the plan; a forced one tries exactly that replica
+    /// and records none of these.
     fn start_plan(&self, query: &TracedQuery, forced: Option<u32>, traced: bool) -> QueryPlan<'_> {
         let mut wall = None;
         if forced.is_none() {
@@ -773,8 +882,7 @@ impl<B: Backend + 'static> BlotStore<B> {
         });
         let route_span = root.as_ref().map(|r| r.child(names::ROUTE));
         let untried = forced.map_or_else(|| self.route(&query.range), |id| vec![id]);
-        drop(route_span);
-        QueryPlan {
+        let mut plan = QueryPlan {
             range: query.range,
             untried: untried.into_iter(),
             failed_over: Vec::new(),
@@ -782,7 +890,36 @@ impl<B: Backend + 'static> BlotStore<B> {
             root,
             _wall: wall,
             answer: None,
+        };
+        self.plan_next(&mut plan, route_span);
+        plan
+    }
+
+    /// Plans `plan` on its next untried replica — this round's attempt —
+    /// or answers it with the error that stops it. The `route` span, when
+    /// there is one, closes here carrying what the partition index
+    /// decided.
+    fn plan_next<'a>(&'a self, plan: &mut QueryPlan<'a>, span: Option<TraceSpan>) {
+        // An unanswered plan has a replica left unless none is built.
+        let planned = plan.untried.next().ok_or(CoreError::NoReplicas);
+        match planned.and_then(|id| Ok((self.replica(id)?, self.plan_on(id, &plan.range)?))) {
+            Ok((replica, attempt)) => {
+                if let Some(mut span) = span {
+                    span.note(names::REPLICA, u64::from(attempt.replica));
+                    span.note(names::UNITS, attempt.units_involved as u64);
+                    span.note(names::UNITS_SKIPPED, attempt.units_skipped as u64);
+                    span.note(names::BYTES_SKIPPED, attempt.bytes_skipped);
+                }
+                plan.attempt = Some((replica, attempt));
+            }
+            Err(e) => plan.finish(Err(e)),
         }
+    }
+
+    fn replica(&self, id: u32) -> Result<&BuiltReplica, CoreError> {
+        self.replicas
+            .get(id as usize)
+            .ok_or(CoreError::NoSuchReplica { id })
     }
 
     /// The model's `Cost(q, r)` (Eq. 6/7) in simulated ms: what routing
@@ -795,44 +932,59 @@ impl<B: Backend + 'static> BlotStore<B> {
             .get()
     }
 
-    /// Plans a query on one replica: predicted `Cost(q, r)` (captured
-    /// before execution so the drift histogram compares the same
-    /// quantity routing used) plus one scan task per involved partition.
-    fn plan_on(
-        &self,
-        id: u32,
-        range: &Cuboid,
-    ) -> Result<(&BuiltReplica, f64, Vec<ScanTask>), CoreError> {
-        let replica = self
-            .replicas
-            .get(id as usize)
-            .ok_or(CoreError::NoSuchReplica { id })?;
-        let tasks: Vec<ScanTask> = replica
-            .scheme
-            .involved(range)
-            .iter()
-            .map(|&pid| {
-                Ok(ScanTask {
+    /// Plans a query on one replica without touching the backend:
+    /// predicted `Cost(q, r)` (captured before execution so the drift
+    /// histogram compares the same quantity routing used) plus one scan
+    /// task per involved partition whose zone map in the partition index
+    /// does not rule it out. This is the one place units are pruned: a
+    /// skipped unit costs no task, no pool slot, no backend call and no
+    /// simulated time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NoSuchReplica`] for an unknown id.
+    pub fn plan_on(&self, id: u32, range: &Cuboid) -> Result<ScanPlan, CoreError> {
+        let replica = self.replica(id)?;
+        let involved = replica.scheme.involved(range);
+        let mut plan = ScanPlan {
+            replica: id,
+            predicted_ms: self.predicted_cost(replica, range),
+            units_involved: involved.len(),
+            units_skipped: 0,
+            bytes_skipped: 0,
+            surviving_bytes: 0,
+            tasks: Vec::with_capacity(involved.len()),
+        };
+        let zones = replica.zones.read();
+        for pid in involved {
+            let entry = zones.get(pid).copied().unwrap_or_default();
+            if entry.zone_map.is_some_and(|zm| !zm.overlaps(range)) {
+                plan.units_skipped += 1;
+                plan.bytes_skipped += entry.len.saturating_sub(ZONE_MAP_FOOTER_LEN as u64);
+            } else {
+                plan.surviving_bytes += entry.len;
+                plan.tasks.push(ScanTask {
                     key: UnitKey {
                         replica: id,
                         partition: partition_id(pid)?,
                     },
                     scheme: replica.config.encoding,
                     range: Some(*range),
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok((replica, self.predicted_cost(replica, range), tasks))
+                });
+            }
+        }
+        Ok(plan)
     }
 
-    /// Turns the per-partition scan reports of one planned query into a
-    /// [`QueryResult`], recording the store and replica instruments. With
-    /// one mapper slot per task (the paper's fully-parallel
-    /// configuration) the simulated makespan is the longest single task.
+    /// Turns the scan reports of one planned query's surviving units
+    /// into a [`QueryResult`], recording the store and replica
+    /// instruments. With one mapper slot per task (the paper's
+    /// fully-parallel configuration) the simulated makespan is the
+    /// longest single task.
     fn assemble(
         &self,
         replica: &BuiltReplica,
-        predicted: f64,
+        plan: &ScanPlan,
         reports: &[ScanReport],
         trace: Option<SpanContext>,
     ) -> QueryResult {
@@ -842,14 +994,12 @@ impl<B: Backend + 'static> BlotStore<B> {
         }
         let total_ms: f64 = reports.iter().map(|r| r.sim_ms).sum();
         let makespan_ms = reports.iter().map(|r| r.sim_ms).fold(0.0, f64::max);
-        let units_skipped = reports.iter().filter(|r| r.pruned).count();
-        let bytes_skipped: u64 = reports.iter().map(|r| r.bytes_skipped).sum();
-        self.metrics.units_scanned.add(reports.len() as u64);
-        self.metrics.units_skipped.add(units_skipped as u64);
-        self.metrics.bytes_skipped.add(bytes_skipped);
+        self.metrics.units_scanned.add(plan.units_involved as u64);
+        self.metrics.units_skipped.add(plan.units_skipped as u64);
+        self.metrics.bytes_skipped.add(plan.bytes_skipped);
         self.metrics
             .decode_counter(replica.config.encoding)
-            .add(reports.len().saturating_sub(units_skipped) as u64);
+            .add(reports.len() as u64);
         self.metrics
             .records_decoded
             .add(reports.iter().map(|r| r.records_scanned as u64).sum());
@@ -860,7 +1010,7 @@ impl<B: Backend + 'static> BlotStore<B> {
         replica.obs.queries.inc();
         replica.obs.sim_ms.record(total_ms);
         if total_ms > 0.0 {
-            replica.obs.drift.record(predicted / total_ms);
+            replica.obs.drift.record(plan.predicted_ms / total_ms);
         }
         if let Some(threshold) = self.slow_query_ms() {
             if total_ms > threshold {
@@ -872,9 +1022,9 @@ impl<B: Backend + 'static> BlotStore<B> {
                     trace: trace.map_or(TraceId(0), |c| c.trace),
                     replica: replica.id,
                     scheme: replica.config.encoding,
-                    units_scanned: reports.len(),
-                    units_skipped,
-                    predicted_ms: predicted,
+                    units_scanned: plan.units_involved,
+                    units_skipped: plan.units_skipped,
+                    predicted_ms: plan.predicted_ms,
                     measured_ms: total_ms,
                     threshold_ms: threshold,
                 });
@@ -885,16 +1035,18 @@ impl<B: Backend + 'static> BlotStore<B> {
             replica: replica.id,
             sim_ms: total_ms,
             makespan_ms,
-            partitions_scanned: reports.len(),
-            units_skipped,
-            bytes_skipped,
+            partitions_scanned: plan.units_involved,
+            units_skipped: plan.units_skipped,
+            bytes_skipped: plan.bytes_skipped,
             failed_over: Vec::new(),
         }
     }
 
     /// Reads every storage unit of every replica (verification scans
     /// run in parallel on the pool) and reports the keys that are
-    /// missing or no longer decode, in unit order.
+    /// missing, no longer decode, or whose recomputed statistics and
+    /// length disagree with their footer or with their entry in the
+    /// partition index, in unit order.
     ///
     /// # Errors
     ///
@@ -906,11 +1058,13 @@ impl<B: Backend + 'static> BlotStore<B> {
         let _span = Span::start(&self.metrics.scrub_wall_ms);
         let mut verifies = Vec::new();
         for replica in &self.replicas {
+            let zones = replica.unit_entries();
             for pid in 0..replica.scheme.len() {
                 let key = UnitKey {
                     replica: replica.id,
                     partition: partition_id(pid)?,
                 };
+                let entry = zones.get(pid).copied().unwrap_or_default();
                 let scheme = replica.config.encoding;
                 let backend: Arc<dyn Backend> = self.backend.clone();
                 let scanned = self.metrics.scrub_units_scanned.clone();
@@ -936,10 +1090,15 @@ impl<B: Backend + 'static> BlotStore<B> {
                             decodes.inc();
                             records_decoded.add(report.records_scanned as u64);
                             bytes_read.add(report.bytes);
-                            // A footer that disagrees with its payload
-                            // (or is missing) is damage: repair rewrites
-                            // the unit, which refreshes the footer.
-                            if report.footer_mismatch {
+                            // A footer or index entry that disagrees
+                            // with the payload (or is missing) is
+                            // damage: repair rewrites the unit, which
+                            // refreshes both.
+                            let indexed = UnitEntry {
+                                zone_map: report.stats,
+                                len: report.bytes,
+                            };
+                            if report.footer_mismatch || !entry.same_bits(&indexed) {
                                 mismatches.inc();
                                 damaged.inc();
                                 Ok(Some(key))
@@ -999,10 +1158,7 @@ impl<B: Backend + 'static> BlotStore<B> {
     }
 
     fn repair_unit_inner(&self, key: UnitKey) -> Result<(), CoreError> {
-        let owner = self
-            .replicas
-            .get(key.replica as usize)
-            .ok_or(CoreError::NoSuchReplica { id: key.replica })?;
+        let owner = self.replica(key.replica)?;
         let partition = owner
             .scheme
             .partitions()
@@ -1029,9 +1185,7 @@ impl<B: Backend + 'static> BlotStore<B> {
                     members.push(result.records.get(i));
                 }
             }
-            let unit = owner.config.encoding.encode(&members);
-            self.backend.put(key, unit)?;
-            return Ok(());
+            return self.rewrite_unit(owner, key, &members);
         }
 
         // Fallback: merge partial views. A record's multiplicity in the
@@ -1060,25 +1214,22 @@ impl<B: Backend + 'static> BlotStore<B> {
             }
             let mut counts: std::collections::HashMap<RecordKey, (blot_model::Record, usize)> =
                 std::collections::HashMap::new();
-            // Extraction scans over this source's involved units run on
-            // the pool; an unreadable unit contributes nothing (another
-            // source may cover it) rather than failing the batch.
-            let mut scans = Vec::new();
-            for pid in source.scheme.involved(&partition.range) {
-                let task = ScanTask {
-                    key: UnitKey {
-                        replica: source.id,
-                        partition: partition_id(pid)?,
-                    },
-                    scheme: source.config.encoding,
-                    range: Some(partition.range),
-                };
-                let backend: Arc<dyn Backend> = self.backend.clone();
-                let env = self.env;
-                scans.push(move || {
-                    Ok(run_scan(backend.as_ref(), &env, &task, &SpanHandle::detached()).ok())
-                });
-            }
+            // Extraction scans over this source's surviving units (planned
+            // like any query) run on the pool; an unreadable unit
+            // contributes nothing (another source may cover it) rather
+            // than failing the batch.
+            let env = self.env;
+            let scans: Vec<_> = self
+                .plan_on(source.id, &partition.range)?
+                .tasks
+                .into_iter()
+                .map(|task| {
+                    let backend: Arc<dyn Backend> = self.backend.clone();
+                    move || {
+                        Ok(run_scan(backend.as_ref(), &env, &task, &SpanHandle::detached()).ok())
+                    }
+                })
+                .collect();
             for report in self.pool.execute_all(scans)?.into_iter().flatten() {
                 for i in 0..report.output.len() {
                     if is_member(&report.output, i) {
@@ -1105,8 +1256,21 @@ impl<B: Backend + 'static> BlotStore<B> {
                 members.push(r);
             }
         }
-        let unit = owner.config.encoding.encode(&members);
+        self.rewrite_unit(owner, key, &members)
+    }
+
+    /// Encodes `members` as `owner`'s unit `key`, writes it and refreshes
+    /// the unit's partition-index entry from the bytes written.
+    fn rewrite_unit(
+        &self,
+        owner: &BuiltReplica,
+        key: UnitKey,
+        members: &RecordBatch,
+    ) -> Result<(), CoreError> {
+        let unit = owner.config.encoding.encode(members);
+        let entry = UnitEntry::of(&unit);
         self.backend.put(key, unit)?;
+        owner.set_entry(key.partition as usize, entry);
         Ok(())
     }
 
@@ -1581,7 +1745,6 @@ mod tests {
             names::QUERY,
             names::ROUTE,
             names::SCAN_UNIT,
-            names::UNIT_PRUNE,
             names::UNIT_DECODE,
             names::MERGE,
         ]

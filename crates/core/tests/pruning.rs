@@ -127,6 +127,11 @@ fn headroom_query_skips_every_involved_unit() {
     let u = store.universe();
     let q = tail_query(&u, last_fix_time(&data) as f64 + 1.0);
     let before = store.metrics().units_skipped.value();
+    let pool_batches = || {
+        let snapshot = store.metrics_snapshot();
+        snapshot.histogram("pool.batch_ms").map_or(0, |h| h.count())
+    };
+    let batches_before = pool_batches();
     let result = store.query_on(0, &q).unwrap();
     assert!(result.records.is_empty());
     assert!(result.partitions_scanned > 0, "tail slices must be planned");
@@ -140,6 +145,38 @@ fn headroom_query_skips_every_involved_unit() {
         result.units_skipped as u64
     );
     assert!(store.metrics().bytes_skipped.value() >= result.bytes_skipped);
+    // Pruned at plan time: nothing was scanned, so nothing is on the
+    // simulated clock and the pool never saw a batch.
+    assert_eq!(result.sim_ms, 0.0);
+    assert_eq!(result.makespan_ms, 0.0);
+    assert_eq!(pool_batches(), batches_before);
+
+    // Traced, the whole story is on the `route` span: no `scan.unit`.
+    let traced = store
+        .query_batch_traced(&[TracedQuery::new(q)])
+        .pop()
+        .unwrap()
+        .unwrap();
+    if !blot_obs::enabled() {
+        return;
+    }
+    use blot_obs::names;
+    let spans = store.recorder().snapshot();
+    let seen: std::collections::BTreeSet<_> = spans.iter().map(|r| r.name).collect();
+    let want = [names::QUERY, names::ROUTE, names::MERGE];
+    assert_eq!(seen, want.into_iter().collect());
+    let route = spans.iter().find(|r| r.name == names::ROUTE).unwrap();
+    assert_eq!(
+        route.note_value(names::REPLICA),
+        Some(u64::from(traced.replica))
+    );
+    let units = traced.partitions_scanned as u64;
+    assert_eq!(route.note_value(names::UNITS), Some(units));
+    assert_eq!(route.note_value(names::UNITS_SKIPPED), Some(units));
+    assert_eq!(
+        route.note_value(names::BYTES_SKIPPED),
+        Some(traced.bytes_skipped)
+    );
 }
 
 #[test]
@@ -203,10 +240,13 @@ fn legacy_units_scan_identically_and_scrub_flags_them() {
         store.backend().put(key, bytes).unwrap();
     }
 
-    // Legacy units still answer queries exactly — they just can't prune.
+    // Footer-less units still decode and answer exactly. (The store's
+    // partition index predates the strip and plans as before; this range
+    // overlaps every unit, so nothing is pruned either way. A store
+    // *reopened* over such units never prunes them — tests/index_pruning.rs.)
     let result = store.query_on(0, &q).unwrap();
     assert_eq!(fingerprint(&result.records), expected);
-    assert_eq!(result.units_skipped, 0, "no footer, no pruning");
+    assert_eq!(result.units_skipped, 0, "the range overlaps every unit");
 
     // Scrub reports exactly the stripped units as footer mismatches.
     let before = store.metrics().scrub_footer_mismatches.value();

@@ -51,7 +51,7 @@ const VOCAB: &[&str] = &[
     "scan",             // 2 (retired: slot kept so later indices hold)
     "merge",            // 3
     "scan.unit",        // 4
-    "unit.prune",       // 5
+    "unit.prune",       // 5 (retired: pruning is plan-time, noted on `route`)
     "unit.decode",      // 6
     "pool.task",        // 7 (retired)
     "server.request",   // 8
@@ -65,7 +65,7 @@ const VOCAB: &[&str] = &[
     "bytes_skipped",    // 16
     "records",          // 17
     "batch_size",       // 18
-    "pruned",           // 19
+    "pruned",           // 19 (retired with `unit.prune`)
     "drift_permille",   // 20
     "queries",          // 21
     "failed_over",      // 22
@@ -101,14 +101,13 @@ pub mod names {
 
     /// Root span of one store query.
     pub const QUERY: Name = Name(0);
-    /// Replica choice + task planning stage.
+    /// Replica choice + task planning stage, zone-map pruning against
+    /// the in-memory partition index included.
     pub const ROUTE: Name = Name(1);
     /// Result assembly: merge per-unit outputs, drift accounting.
     pub const MERGE: Name = Name(3);
     /// One storage unit's scan task (worker thread).
     pub const SCAN_UNIT: Name = Name(4);
-    /// Zone-map footer consult ahead of a unit's payload fetch.
-    pub const UNIT_PRUNE: Name = Name(5);
     /// Decode + filter of one unit's payload.
     pub const UNIT_DECODE: Name = Name(6);
     /// Server-side root of one remote request.
@@ -121,7 +120,7 @@ pub mod names {
     pub const CLIENT: Name = Name(11);
     /// Key: replica id routed to.
     pub const REPLICA: Name = Name(12);
-    /// Key: units scanned.
+    /// Key: units involved (zone-map-skipped ones included).
     pub const UNITS: Name = Name(13);
     /// Key: units skipped via zone maps.
     pub const UNITS_SKIPPED: Name = Name(14);
@@ -133,8 +132,6 @@ pub mod names {
     pub const RECORDS: Name = Name(17);
     /// Key: queries in the same server batch.
     pub const BATCH_SIZE: Name = Name(18);
-    /// Key: 1 when a zone map pruned the unit.
-    pub const PRUNED: Name = Name(19);
     /// Key: predicted/measured cost ratio × 1000.
     pub const DRIFT_PERMILLE: Name = Name(20);
     /// Key: query count (batch roots).

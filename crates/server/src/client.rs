@@ -142,7 +142,9 @@ pub fn disposition(code: ErrorCode) -> Disposition {
         | ErrorCode::Storage
         | ErrorCode::NoReplicas
         | ErrorCode::NoSuchReplica
-        | ErrorCode::Internal => Disposition::Fatal,
+        | ErrorCode::Internal
+        // The same range would encode to the same oversized reply.
+        | ErrorCode::ReplyTooLarge => Disposition::Fatal,
     }
 }
 
@@ -383,6 +385,7 @@ mod tests {
             ErrorCode::NoReplicas,
             ErrorCode::NoSuchReplica,
             ErrorCode::Internal,
+            ErrorCode::ReplyTooLarge,
         ] {
             assert_eq!(disposition(fatal), Disposition::Fatal);
         }

@@ -266,6 +266,8 @@ fn poll_frame<S: ?Sized>(stream: &mut TcpStream, ctx: &ConnContext<S>) -> Poll {
     }
 }
 
+/// Writes one reply frame; `false` when the peer is gone. A reply too
+/// large for a frame goes out as a structured `ReplyTooLarge` error.
 fn send<S: ?Sized>(stream: &mut TcpStream, ctx: &ConnContext<S>, resp: &Response) -> bool {
     if stream
         .set_write_timeout(Some(ctx.config.io_timeout))
@@ -273,7 +275,18 @@ fn send<S: ?Sized>(stream: &mut TcpStream, ctx: &ConnContext<S>, resp: &Response
     {
         return false;
     }
-    let (kind, payload) = resp.encode();
+    let (mut kind, mut payload) = resp.encode();
+    if payload.len() > wire::MAX_PAYLOAD as usize {
+        // The peer would reject the frame as oversize and drop the
+        // connection: say why instead, and keep serving.
+        ctx.metrics.request_errors.inc();
+        let message = format!(
+            "reply of {} bytes exceeds the {}-byte frame limit; narrow the range",
+            payload.len(),
+            wire::MAX_PAYLOAD
+        );
+        (kind, payload) = error_response(ErrorCode::ReplyTooLarge, 0, message).encode();
+    }
     wire::write_frame(stream, kind, &payload).is_ok()
 }
 

@@ -174,6 +174,10 @@ pub enum ErrorCode {
     /// shards; the query produced no partial results. Retry after the
     /// hint — the shard may recover or the shard map may heal.
     ShardUnavailable = 10,
+    /// The reply would not fit in one frame ([`MAX_PAYLOAD`]); nothing
+    /// was sent in its place. Permanent for this request — narrow the
+    /// range — but the connection stays usable.
+    ReplyTooLarge = 11,
 }
 
 impl ErrorCode {
@@ -197,6 +201,7 @@ impl ErrorCode {
             7 => Self::NoSuchReplica,
             9 => Self::IdleTimeout,
             10 => Self::ShardUnavailable,
+            11 => Self::ReplyTooLarge,
             _ => Self::Internal,
         }
     }
@@ -468,9 +473,13 @@ fn put_cuboid(out: &mut Vec<u8>, q: &Cuboid) {
 
 /// Serialises one frame (header + payload) into a byte vector.
 ///
-/// Payloads larger than [`MAX_PAYLOAD`] cannot be produced by this
-/// crate's encoders; if one ever is, the length field saturates and the
-/// peer rejects the frame rather than mis-framing the stream.
+/// A `QueryOk` carrying some 890 k records (or a large enough stats or
+/// trace document) encodes to more than [`MAX_PAYLOAD`], which the
+/// peer's [`read_frame`] rejects as [`FrameError::Oversize`]: senders
+/// check the payload length first — the server's connection handler
+/// answers [`ErrorCode::ReplyTooLarge`] instead. Past `u32::MAX` the
+/// length field saturates, so even then the peer rejects the frame
+/// rather than mis-framing the stream.
 #[must_use]
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -1016,6 +1025,7 @@ mod tests {
             ErrorCode::Internal,
             ErrorCode::IdleTimeout,
             ErrorCode::ShardUnavailable,
+            ErrorCode::ReplyTooLarge,
         ] {
             assert_eq!(ErrorCode::from_u16(code.as_u16()), code);
         }

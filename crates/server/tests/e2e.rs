@@ -310,7 +310,6 @@ fn client_trace_context_round_trips_into_the_server_flight_recorder() {
         names::ROUTE,
         names::MERGE,
         names::SCAN_UNIT,
-        names::UNIT_PRUNE,
         names::UNIT_DECODE,
     ] {
         assert!(
@@ -450,5 +449,87 @@ fn malformed_frames_get_structured_errors_not_dropped_connections() {
         // EOF rather than hanging.
         let mut rest = Vec::new();
         let _ = stream.read_to_end(&mut rest);
+    }
+}
+
+/// A service whose answer to the whole universe is a million records —
+/// more than one frame can carry — and one record to anything else.
+struct Bulk {
+    universe: Cuboid,
+    registry: blot_obs::MetricsRegistry,
+    pool: Arc<blot_storage::ScanExecutor>,
+}
+
+impl QueryService for Bulk {
+    fn query_batch_traced(&self, queries: &[TracedQuery]) -> Vec<Result<QueryResult, CoreError>> {
+        queries
+            .iter()
+            .map(|q| {
+                let n = if q.range == self.universe {
+                    1_000_000
+                } else {
+                    1
+                };
+                Ok(QueryResult {
+                    records: (0..n).map(|i| Record::new(i, 0, 121.0, 31.0)).collect(),
+                    replica: 0,
+                    sim_ms: 1.0,
+                    makespan_ms: 1.0,
+                    partitions_scanned: 1,
+                    units_skipped: 0,
+                    bytes_skipped: 0,
+                    failed_over: Vec::new(),
+                })
+            })
+            .collect()
+    }
+
+    fn metrics_registry(&self) -> blot_obs::MetricsRegistry {
+        self.registry.clone()
+    }
+
+    fn drift_report(&self, band: DriftBand) -> DriftReport {
+        DriftReport::from_samples(band, [])
+    }
+
+    fn universe(&self) -> Cuboid {
+        self.universe
+    }
+
+    fn executor(&self) -> Arc<blot_storage::ScanExecutor> {
+        Arc::clone(&self.pool)
+    }
+}
+
+#[test]
+fn a_reply_too_large_for_a_frame_is_a_structured_error_on_a_live_connection() {
+    let universe = FleetConfig::small().universe();
+    let service = Arc::new(Bulk {
+        universe,
+        registry: blot_obs::MetricsRegistry::new(),
+        pool: Arc::new(blot_storage::ScanExecutor::new(1)),
+    });
+    let server = Server::start(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+    // ~38 bytes a record: a million of them overflow the 32 MiB frame.
+    match client.query(&universe) {
+        Err(blot_server::client::ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::ReplyTooLarge);
+            assert_eq!(e.retry_after_ms, 0);
+            assert!(e.message.contains("exceeds"), "{}", e.message);
+        }
+        other => panic!("expected ReplyTooLarge, got {other:?}"),
+    }
+    // Not retried, and the same connection goes on serving.
+    assert_eq!(client.retries(), 0);
+    let small = Cuboid::from_centroid(universe.centroid(), QuerySize::new(0.1, 0.1, 60.0));
+    assert_eq!(client.query(&small).unwrap().records.len(), 1);
+    client.ping().unwrap();
+
+    let report = server.shutdown(Duration::from_secs(10));
+    assert!(report.threads_joined);
+    if blot_obs::enabled() {
+        assert_eq!(report.snapshot.counter("server.request_errors"), Some(1));
     }
 }

@@ -1,10 +1,13 @@
-//! Scanning one storage unit: footer check → read → decompress → filter
-//! (§II-D, plus zone-map pruning ahead of the payload fetch).
+//! Scanning one storage unit: read → decompress → filter (§II-D).
+//!
+//! Zone-map pruning happens before a [`ScanTask`] exists: the planner
+//! consults the in-memory partition index (`blot-core`), so every task
+//! that reaches [`run_scan`] fetches its payload.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
-use blot_codec::{DecodeScratch, EncodingScheme, ZoneMap, ZONE_MAP_FOOTER_LEN};
+use blot_codec::{DecodeScratch, EncodingScheme, ZoneMap};
 use blot_geo::Cuboid;
 use blot_model::RecordBatch;
 use blot_obs::{names, SpanHandle};
@@ -35,12 +38,9 @@ pub struct ScanReport {
     /// Unit scanned.
     pub key: UnitKey,
     /// Simulated wall time of the task, **including** the environment's
-    /// per-unit extra cost. Pruned units charge only the footer read:
-    /// the prune decision happens before a map task would launch, so no
-    /// extra cost is paid.
+    /// per-unit extra cost.
     pub sim_ms: f64,
-    /// The extra-cost share of `sim_ms` (task startup + open latency);
-    /// 0 for pruned units.
+    /// The extra-cost share of `sim_ms` (task startup + open latency).
     pub extra_ms: f64,
     /// Bytes transferred from the backend.
     pub bytes: u64,
@@ -48,40 +48,30 @@ pub struct ScanReport {
     pub records_scanned: usize,
     /// Records that passed the range filter.
     pub records_matched: usize,
-    /// Whether the zone-map footer proved the unit disjoint from the
-    /// range, so the payload was never fetched or decoded.
-    pub pruned: bool,
-    /// Payload bytes the prune avoided transferring (0 when scanned).
-    pub bytes_skipped: u64,
-    /// Full-extraction scans only: the stored footer disagrees with the
-    /// statistics recomputed from the decoded records (or the unit
-    /// predates footers). Scrub treats this as damage so repair rewrites
-    /// the unit with a fresh footer.
+    /// Full-extraction scans only: the zone-map statistics recomputed
+    /// from the decoded records, for scrub to hold against the partition
+    /// index. `None` on range scans.
+    pub stats: Option<ZoneMap>,
+    /// Full-extraction scans only: the stored footer disagrees with
+    /// [`stats`](Self::stats) (or the unit predates footers). Scrub
+    /// treats this as damage so repair rewrites the unit with a fresh
+    /// footer.
     pub footer_mismatch: bool,
     /// The matching records.
     pub output: RecordBatch,
 }
 
-/// Executes a scan task.
-///
-/// Range scans first fetch only the unit's zone-map footer (a tail-sized
-/// ranged read). When the footer proves the unit disjoint from the
-/// range, the scan returns empty without ever fetching the payload, and
-/// the simulated-time model charges only the footer read — so
-/// `ScanRate`/`ExtraTime` accounting stays honest about the work pruning
-/// avoids. Surviving units are fetched whole and run through the batched
-/// decode-filter with thread-local scratch buffers.
+/// Executes a scan task: fetches the whole unit and runs it through the
+/// batched decode-filter with thread-local scratch buffers.
 ///
 /// Full extractions (`range: None`, the scrub/repair path) additionally
-/// recompute the zone-map statistics from the decoded records and flag
-/// units whose stored footer disagrees (or is missing) via
-/// [`ScanReport::footer_mismatch`].
+/// recompute the zone-map statistics from the decoded records
+/// ([`ScanReport::stats`]) and flag units whose stored footer disagrees
+/// (or is missing) via [`ScanReport::footer_mismatch`].
 ///
-/// Under an active `trace` the zone-map footer consult and the
-/// decode+filter pass each record a child span (`unit.prune`,
-/// `unit.decode`), so a query's flight recording attributes per-unit
-/// time to its stages. A detached handle (or an `off` build) records
-/// nothing and skips span bookkeeping.
+/// Under an active `trace` the decode+filter pass records a
+/// `unit.decode` child span. A detached handle (or an `off` build)
+/// records nothing and skips span bookkeeping.
 ///
 /// # Errors
 ///
@@ -94,51 +84,13 @@ pub fn run_scan(
     task: &ScanTask,
     trace: &SpanHandle,
 ) -> Result<ScanReport, StorageError> {
-    let traced = trace.context().is_some();
-    if let Some(range) = &task.range {
-        let mut prune_span = traced.then(|| trace.child(names::UNIT_PRUNE));
-        let (tail, total) = backend.get_tail(task.key, ZONE_MAP_FOOTER_LEN)?;
-        let started = Instant::now();
-        let (_, zone_map) =
-            ZoneMap::split_footer(&tail).map_err(|source| StorageError::Corrupt {
-                key: task.key,
-                source,
-            })?;
-        // Legacy units (no footer) fall through and scan normally.
-        if zone_map.is_some_and(|zm| !zm.overlaps(range)) {
-            let cpu_ms = started.elapsed().as_secs_f64() * 1e3;
-            let footer_bytes = tail.len() as u64;
-            let bytes_skipped = total.saturating_sub(footer_bytes);
-            if let Some(span) = prune_span.as_mut() {
-                span.note(names::PRUNED, 1);
-                span.note(names::BYTES_SKIPPED, bytes_skipped);
-            }
-            // No ExtraTime: the footer consult is driver-side metadata
-            // work — a pruned unit never launches a map task, so the
-            // simulated clock charges only the ranged footer read.
-            return Ok(ScanReport {
-                key: task.key,
-                sim_ms: env.scan_ms(footer_bytes, cpu_ms),
-                extra_ms: 0.0,
-                bytes: footer_bytes,
-                records_scanned: 0,
-                records_matched: 0,
-                pruned: true,
-                bytes_skipped,
-                footer_mismatch: false,
-                output: RecordBatch::new(),
-            });
-        }
-        if let Some(span) = prune_span.as_mut() {
-            span.note(names::PRUNED, 0);
-        }
-    }
     let bytes = backend.get(task.key)?;
+    let traced = trace.context().is_some();
     let mut decode_span = traced.then(|| trace.child(names::UNIT_DECODE));
     let started = Instant::now();
     // Fuse decode and filter when a range is given: selective queries
     // never materialise the non-matching records.
-    let (output, scanned, footer_mismatch) = match &task.range {
+    let (output, scanned, stats, footer_mismatch) = match &task.range {
         Some(range) => {
             let filtered = SCRATCH
                 .with(|cell| match cell.try_borrow_mut() {
@@ -157,7 +109,7 @@ pub fn run_scan(
                     key: task.key,
                     source,
                 })?;
-            (filtered.matched, filtered.scanned, false)
+            (filtered.matched, filtered.scanned, None, false)
         }
         None => {
             let stored = ZoneMap::split_footer(bytes.get(1..).unwrap_or_default())
@@ -173,9 +125,10 @@ pub fn run_scan(
                     key: task.key,
                     source,
                 })?;
-            let mismatch = !stored.is_some_and(|zm| zm.same_bits(&ZoneMap::from_batch(&batch)));
+            let stats = ZoneMap::from_batch(&batch);
+            let mismatch = !stored.is_some_and(|zm| zm.same_bits(&stats));
             let n = batch.len();
-            (batch, n, mismatch)
+            (batch, n, Some(stats), mismatch)
         }
     };
     if let Some(span) = decode_span.as_mut() {
@@ -196,8 +149,7 @@ pub fn run_scan(
         bytes: bytes.len() as u64,
         records_scanned: scanned,
         records_matched: output.len(),
-        pruned: false,
-        bytes_skipped: 0,
+        stats,
         footer_mismatch,
         output,
     })
@@ -207,7 +159,7 @@ pub fn run_scan(
 mod tests {
     use super::*;
     use crate::MemBackend;
-    use blot_codec::{Compression, Layout};
+    use blot_codec::{Compression, Layout, ZONE_MAP_FOOTER_LEN};
     use blot_geo::Point;
     use blot_model::Record;
 
@@ -281,7 +233,7 @@ mod tests {
                 &ScanTask {
                     key: missing,
                     scheme,
-                    range: None
+                    range: None,
                 },
                 &SpanHandle::detached(),
             ),
@@ -297,61 +249,12 @@ mod tests {
                 &ScanTask {
                     key,
                     scheme,
-                    range: None
+                    range: None,
                 },
                 &SpanHandle::detached(),
             ),
             Err(StorageError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn disjoint_unit_is_pruned_without_touching_the_payload() {
-        let (backend, scheme, key, batch) = setup();
-        // Data times span 0..2000; query far in the future.
-        let range = Cuboid::new(
-            Point::new(120.0, 30.0, 10_000.0),
-            Point::new(122.0, 32.0, 20_000.0),
-        );
-        let report = run_scan(
-            &backend,
-            &EnvProfile::local_cluster(),
-            &ScanTask {
-                key,
-                scheme,
-                range: Some(range),
-            },
-            &SpanHandle::detached(),
-        )
-        .unwrap();
-        assert!(report.pruned);
-        assert_eq!(report.bytes, ZONE_MAP_FOOTER_LEN as u64);
-        // No map task launches for a pruned unit: only the footer read
-        // is on the simulated clock.
-        assert_eq!(report.extra_ms, 0.0);
-        assert!(report.sim_ms < EnvProfile::local_cluster().extra_ms());
-        let unit_len = backend.size_of(key).unwrap();
-        assert_eq!(report.bytes_skipped, unit_len - ZONE_MAP_FOOTER_LEN as u64);
-        assert_eq!(report.records_scanned, 0);
-        assert!(report.output.is_empty());
-        // The same query against the decoded batch really is empty.
-        assert_eq!(batch.count_in_range(&range), 0);
-        // An overlapping query is NOT pruned.
-        let hit = Cuboid::new(Point::new(120.0, 30.0, 0.0), Point::new(122.0, 32.0, 50.0));
-        let report = run_scan(
-            &backend,
-            &EnvProfile::local_cluster(),
-            &ScanTask {
-                key,
-                scheme,
-                range: Some(hit),
-            },
-            &SpanHandle::detached(),
-        )
-        .unwrap();
-        assert!(!report.pruned);
-        assert_eq!(report.bytes_skipped, 0);
-        assert_eq!(report.records_scanned, batch.len());
     }
 
     #[test]
@@ -362,7 +265,7 @@ mod tests {
         backend
             .put(key, bytes[..bytes.len() - ZONE_MAP_FOOTER_LEN].to_vec())
             .unwrap();
-        // Disjoint range: legacy units cannot be pruned, only scanned.
+        // A disjoint range still scans: `run_scan` itself never prunes.
         let range = Cuboid::new(
             Point::new(120.0, 30.0, 10_000.0),
             Point::new(122.0, 32.0, 20_000.0),
@@ -378,9 +281,9 @@ mod tests {
             &SpanHandle::detached(),
         )
         .unwrap();
-        assert!(!report.pruned);
         assert_eq!(report.records_scanned, batch.len());
         assert_eq!(report.records_matched, 0);
+        assert!(report.stats.is_none(), "range scans recompute no stats");
         // Full extraction reports the missing footer so scrub/repair can
         // upgrade the unit.
         let report = run_scan(
@@ -395,10 +298,13 @@ mod tests {
         )
         .unwrap();
         assert!(report.footer_mismatch);
+        assert!(report
+            .stats
+            .is_some_and(|zm| zm.same_bits(&ZoneMap::from_batch(&batch))));
     }
 
     #[test]
-    fn corrupt_footer_is_an_error_never_a_prune() {
+    fn corrupt_footer_is_an_error_never_a_short_answer() {
         let (backend, scheme, key, _) = setup();
         let mut bytes = backend.get(key).unwrap();
         // Flip a stats byte inside the footer: checksum must catch it.

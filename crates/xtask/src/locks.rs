@@ -26,10 +26,21 @@ use std::path::Path;
 /// The declared global lock order: a lock may only be acquired while
 /// holding locks that appear **earlier** in this list. The names are
 /// the final path segment of the lock field (`self.units` → `units`).
-pub const LOCK_ORDER: &[&str] = &["log", "failures", "units"];
+/// `zones` — a replica's share of the store's partition index — is read
+/// once per query plan, after the query log and never across backend
+/// I/O, so it ranks before the backends' own locks.
+pub const LOCK_ORDER: &[&str] = &["log", "zones", "failures", "units"];
 
 /// Backend method names that perform storage I/O.
-const IO_METHODS: &[&str] = &["get", "put", "delete", "list", "size_of", "total_bytes"];
+const IO_METHODS: &[&str] = &[
+    "get",
+    "get_tail",
+    "put",
+    "delete",
+    "list",
+    "size_of",
+    "total_bytes",
+];
 
 /// Receiver path segments that identify a backend value.
 const BACKEND_RECEIVERS: &[&str] = &["backend", "inner"];

@@ -218,7 +218,7 @@ impl Rule {
                  can deadlock two threads taking the pair in opposite orders.\n\
                  Fix: use temporary guards (`self.units.write().insert(...)`), `drop(guard)` \
                  before I/O, and acquire locks in the declared `LOCK_ORDER` (log before \
-                 failures before units)."
+                 zones before failures before units)."
             }
             Rule::ThreadDiscipline => {
                 "Why: ad-hoc `thread::spawn` bypasses the shared `ScanExecutor` pool, so \

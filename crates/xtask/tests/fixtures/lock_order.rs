@@ -1,5 +1,5 @@
 //! Known-bad fixture for rule `lock-discipline` (lock ordering): the
-//! declared order is `log → failures → units`; acquiring against it
+//! declared order is `log → zones → failures → units`; acquiring against it
 //! while a guard is held must fire.
 
 pub struct Store {
@@ -30,7 +30,7 @@ impl Store {
     pub fn full_chain(&self) {
         let l = self.log.lock();
         let f = self.failures.read();
-        let u = self.units.write(); // quiet: log → failures → units
+        let u = self.units.write(); // quiet: log → (zones →) failures → units
         observe_all(&l, &f, &u);
     }
 }

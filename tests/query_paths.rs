@@ -82,12 +82,26 @@ fn routed_answers(store: &Store, ranges: &[Cuboid]) -> [Vec<Answer>; 3] {
     ]
 }
 
-fn first_involved_unit(store: &Store, replica: u32, range: &Cuboid) -> UnitKey {
+/// The first unit `replica` would actually scan for `range`: involved
+/// and not ruled out by the partition index. Damaging a pruned unit
+/// would not be noticed by a query — see the mirror case below.
+fn first_surviving_unit(store: &Store, replica: u32, range: &Cuboid) -> UnitKey {
+    store.plan_on(replica, range).unwrap().tasks[0].key
+}
+
+/// An involved unit of `replica` that the partition index prunes for
+/// `range`, if there is one.
+fn first_pruned_unit(store: &Store, replica: u32, range: &Cuboid) -> Option<UnitKey> {
+    let survivors = store.plan_on(replica, range).unwrap().tasks;
     let scheme = &store.replicas()[replica as usize].scheme;
-    UnitKey {
-        replica,
-        partition: u32::try_from(scheme.involved(range)[0]).unwrap(),
-    }
+    scheme
+        .involved(range)
+        .into_iter()
+        .map(|pid| UnitKey {
+            replica,
+            partition: u32::try_from(pid).unwrap(),
+        })
+        .find(|key| survivors.iter().all(|task| task.key != *key))
 }
 
 #[test]
@@ -111,10 +125,34 @@ fn all_entry_points_agree_with_the_oracle_healthy_and_damaged() {
         }
     }
 
-    // One unit of range 0's cheapest replica fails: every routed entry
-    // point fails over identically; the forced one reports the damage.
+    // A unit the index prunes for some range is lost: that range's
+    // queries never touch it, so every entry point stays exact with no
+    // failover — only `scrub` sees the damage. (Healed before going on.)
+    let (i, pruned) = ranges
+        .iter()
+        .enumerate()
+        .find_map(|(i, q)| Some((i, first_pruned_unit(&store, store.route(q)[0], q)?)))
+        .expect("some range has a pruned unit on its cheapest replica");
+    store.backend().inject(pruned, FailureMode::Drop);
+    let q = ranges[i];
+    let want = oracle(&data, &q);
+    let forced = store.query_on(pruned.replica, &q).unwrap();
+    assert_eq!(sorted(forced.records), want, "query_on past a pruned loss");
+    for answers in routed_answers(&store, &[q]) {
+        let got = answers[0].as_ref().unwrap();
+        assert_eq!(sorted(got.records.clone()), want);
+        assert_eq!(got.replica, pruned.replica);
+        assert!(got.failed_over.is_empty(), "a pruned unit is never read");
+    }
+    assert_eq!(store.scrub().unwrap(), vec![pruned]);
+    store.backend().heal(pruned);
+    assert!(store.scrub().unwrap().is_empty());
+
+    // One unit range 0's cheapest replica would scan fails: every routed
+    // entry point fails over identically; the forced one reports the
+    // damage.
     let victim = store.route(&ranges[0])[0];
-    let lost = first_involved_unit(&store, victim, &ranges[0]);
+    let lost = first_surviving_unit(&store, victim, &ranges[0]);
     store.backend().inject(lost, FailureMode::Drop);
     let [single, batch, traced] = routed_answers(&store, &ranges);
     for (i, q) in ranges.iter().enumerate() {
@@ -136,7 +174,7 @@ fn all_entry_points_agree_with_the_oracle_healthy_and_damaged() {
     // Every replica damaged under range 0: a structured storage error
     // from every entry point, never a short answer and never `NoReplicas`.
     for replica in store.replicas() {
-        let key = first_involved_unit(&store, replica.id, &ranges[0]);
+        let key = first_surviving_unit(&store, replica.id, &ranges[0]);
         store.backend().inject(key, FailureMode::Drop);
     }
     for answers in routed_answers(&store, &ranges) {
