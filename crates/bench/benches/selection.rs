@@ -18,7 +18,6 @@ use blot_core::cost::CostModel;
 use blot_core::prelude::*;
 use blot_core::select::{prune_dominated, select_greedy, select_greedy_reference, select_mip};
 use blot_mip::MipSolver;
-use blot_storage::ScanExecutor;
 use blot_tracegen::FleetConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -93,7 +92,6 @@ fn synthetic_matrix(queries: usize, candidates: usize) -> (CostMatrix, Bytes) {
 fn bench_selection(c: &mut Criterion) {
     let s = setup();
     let (big, big_budget) = synthetic_matrix(200, 64);
-    let pool = ScanExecutor::with_default_parallelism();
     let mut group = c.benchmark_group("selection");
     group.sample_size(10);
     group.bench_function("prune_dominated", |b| b.iter(|| prune_dominated(&s.matrix)));
@@ -117,20 +115,6 @@ fn bench_selection(c: &mut Criterion) {
                 s.universe,
                 65e6,
             )
-        });
-    });
-    group.bench_function("matrix_estimate_pooled", |b| {
-        b.iter(|| {
-            CostMatrix::estimate_scaled_on(
-                &pool,
-                &s.model,
-                &s.workload,
-                &s.candidates,
-                &s.sample,
-                s.universe,
-                65e6,
-            )
-            .expect("pooled estimate")
         });
     });
     group.finish();

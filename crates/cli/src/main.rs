@@ -110,12 +110,11 @@ commands:
             [--slow-log MS]
   route serve --shard ADDR [--shard ADDR …] [--addr HOST:PORT] [--cuts V1,V2,…] [--axis x|y|t]
             [--map-version N] [--conns-per-shard N] [--shard-retries N]
-  query     --coordinator ADDR --center LON,LAT,T --size W,H,T [--limit N] [--trace]
-  stats     --coordinator ADDR [--json]
 
 `route serve` runs a scatter-gather coordinator over running `serve`
 shards: records are placed by OID hash by default, or by region slabs
-when --cuts (interior cut points on --axis, default t) is given.
+when --cuts (interior cut points on --axis, default t) is given. It
+speaks the same wire protocol as `serve`: point `--remote` at it.
 
 replica syntax: S<spatial>xT<temporal>/<LAYOUT>-<CODEC>, e.g. S64xT16/COL-GZIP
   spatial ∈ {4,16,64,256,1024,4096}; temporal a power of two
@@ -353,10 +352,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 fn cmd_query(args: &Args) -> Result<(), String> {
     let range = parse_range(args)?;
     let limit = args.get_parsed::<usize>("limit")?.unwrap_or(5);
-    // A coordinator speaks the same wire protocol as a single server;
-    // `--coordinator` is routing documentation, not a different client.
-    let remote = args.get("remote").or_else(|| args.get("coordinator"));
-    if let Some(addr) = remote {
+    if let Some(addr) = args.get("remote") {
         if args.get("replica-id").is_some() {
             return Err(
                 "--replica-id is not supported with --remote (routing is server-side)".into(),
@@ -579,7 +575,7 @@ fn cmd_stats_remote(args: &Args, addr: &str) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
-    if let Some(addr) = args.get("remote").or_else(|| args.get("coordinator")) {
+    if let Some(addr) = args.get("remote") {
         return cmd_stats_remote(args, addr);
     }
     let store = open_store(args)?;
@@ -876,7 +872,7 @@ fn serve_until_quit(server: blot_server::Server, what: &str) -> Result<(), Strin
 
 /// `blot route serve`: run a scatter-gather coordinator over N running
 /// `blot serve` shards, itself fronted by the same TCP serving layer —
-/// so `blot query --coordinator ADDR` is the ordinary remote client.
+/// so `blot query --remote ADDR` is the ordinary remote client.
 fn cmd_route_serve(args: &Args) -> Result<(), String> {
     use blot_router::{RouterConfig, RouterService, ShardMap, ShardSpec};
     let shards: Vec<String> = args

@@ -85,9 +85,8 @@ impl Models {
     }
 
     /// The order-1 literal tree for context byte `ctx`.
-    #[allow(clippy::indexing_slicing)]
+    #[allow(clippy::indexing_slicing)] // a u8 context always lands in the 256-entry table
     fn literal_model(&mut self, ctx: u8) -> &mut BitTree {
-        // audit: allow(indexing, a u8 context always lands in the 256-entry table)
         &mut self.literal[usize::from(ctx)]
     }
 }

@@ -211,7 +211,9 @@ impl CostModel {
                     replica: si,
                     partition: u32::MAX,
                 };
-                // audit: allow(result-discipline, warm-up probe — a failure only readmits the first-touch noise the probe exists to shed)
+                // Warm-up probe — a failure only readmits the first-touch
+                // noise the probe exists to shed.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = probe_scan(&backend, env, key, scheme, scheme.encode(&part));
             }
             for (zi, &size) in config.sizes.iter().enumerate() {

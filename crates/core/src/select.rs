@@ -7,7 +7,8 @@
 //! `Cost(W, R) = Σᵢ wᵢ · min_{r ∈ R} Cost(qᵢ, r)` — proven at least
 //! NP-complete by reduction from set covering (Theorem 1).
 
-// audit: allow-file(indexing, dense cost-matrix/clustering loops index within dimensions fixed at construction)
+// Dense cost-matrix/clustering loops index within dimensions fixed at
+// construction.
 #![allow(clippy::indexing_slicing)]
 
 use blot_geo::QuerySize;
@@ -111,76 +112,6 @@ impl CostMatrix {
             weights,
             storage,
         }
-    }
-
-    /// [`estimate_scaled`](Self::estimate_scaled), with the per-query
-    /// work — expected partition involvement and the cost row over all
-    /// candidates — fanned out over a shared [`ScanExecutor`] pool. The
-    /// resulting matrix is bit-for-bit identical to the serial path
-    /// (each query's row is computed by the same code on one worker and
-    /// rows are reassembled in query order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Storage`] only if a pool worker panics.
-    pub fn estimate_scaled_on(
-        pool: &blot_storage::ScanExecutor,
-        model: &CostModel,
-        workload: &Workload,
-        candidates: &[ReplicaConfig],
-        sample: &RecordBatch,
-        universe: blot_geo::Cuboid,
-        dataset_records: f64,
-    ) -> Result<Self, CoreError> {
-        use std::sync::Arc;
-        let mut schemes: HashMap<blot_index::SchemeSpec, PartitioningScheme> = HashMap::new();
-        for c in candidates {
-            schemes
-                .entry(c.spec)
-                .or_insert_with(|| PartitioningScheme::build(sample, universe, c.spec));
-        }
-        let schemes = Arc::new(schemes);
-        let model = Arc::new(model.clone());
-        let candidates_arc: Arc<Vec<ReplicaConfig>> = Arc::new(candidates.to_vec());
-        let rows: Vec<_> = workload
-            .entries()
-            .iter()
-            .map(|&(q, _)| {
-                let schemes = Arc::clone(&schemes);
-                let model = Arc::clone(&model);
-                let cands = Arc::clone(&candidates_arc);
-                move || {
-                    let np: HashMap<blot_index::SchemeSpec, PartitionCount> = schemes
-                        .iter()
-                        .map(|(&spec, scheme)| (spec, CostModel::expected_involved(scheme, q.size)))
-                        .collect();
-                    Ok(cands
-                        .iter()
-                        .map(|c| {
-                            model
-                                .cost_with_np(
-                                    np[&c.spec],
-                                    schemes[&c.spec].len(),
-                                    c.encoding,
-                                    dataset_records,
-                                )
-                                .get()
-                        })
-                        .collect::<Vec<f64>>())
-                }
-            })
-            .collect();
-        let costs = pool.execute_all(rows)?;
-        let storage = candidates
-            .iter()
-            .map(|c| model.replica_storage_bytes(c.encoding, dataset_records))
-            .collect();
-        let weights = workload.entries().iter().map(|&(_, w)| w).collect();
-        Ok(Self {
-            costs,
-            weights,
-            storage,
-        })
     }
 
     /// Number of workload queries `n`.

@@ -28,6 +28,7 @@ use crate::adapt::QueryLog;
 use crate::cost::CostModel;
 use crate::obs::{DriftBand, DriftReport, ReplicaMetrics, StoreMetrics};
 use crate::replica::ReplicaConfig;
+use crate::units::Millis;
 use crate::CoreError;
 
 /// A physical replica that has been built into the backend.
@@ -701,12 +702,12 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// time").
     #[must_use]
     pub fn route(&self, range: &Cuboid) -> Vec<u32> {
-        let mut ranked: Vec<(&BuiltReplica, f64)> = self
+        let mut ranked: Vec<(&BuiltReplica, Millis)> = self
             .replicas
             .iter()
             .map(|r| (r, self.predicted_cost(r, range)))
             .collect();
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked.sort_by(|a, b| a.1.get().total_cmp(&b.1.get()));
         if let Some((winner, _)) = ranked.first() {
             winner.obs.routed_first.inc();
         }
@@ -922,14 +923,13 @@ impl<B: Backend + 'static> BlotStore<B> {
             .ok_or(CoreError::NoSuchReplica { id })
     }
 
-    /// The model's `Cost(q, r)` (Eq. 6/7) in simulated ms: what routing
-    /// ranks by and the drift histogram compares measured cost against.
-    fn predicted_cost(&self, replica: &BuiltReplica, range: &Cuboid) -> f64 {
+    /// The model's `Cost(q, r)` (Eq. 6/7): what routing ranks by and the
+    /// drift histogram compares measured cost against.
+    fn predicted_cost(&self, replica: &BuiltReplica, range: &Cuboid) -> Millis {
         #[allow(clippy::cast_precision_loss)]
         let records = replica.records as f64;
         self.model
             .concrete_query_cost(range, &replica.scheme, replica.config.encoding, records)
-            .get()
     }
 
     /// Plans a query on one replica without touching the backend:
@@ -948,7 +948,7 @@ impl<B: Backend + 'static> BlotStore<B> {
         let involved = replica.scheme.involved(range);
         let mut plan = ScanPlan {
             replica: id,
-            predicted_ms: self.predicted_cost(replica, range),
+            predicted_ms: self.predicted_cost(replica, range).get(),
             units_involved: involved.len(),
             units_skipped: 0,
             bytes_skipped: 0,
@@ -1485,8 +1485,8 @@ mod tests {
         let data = config.generate();
         let universe = config.universe();
         let params = blot_codec::SchemeTable::build(|_| crate::cost::CostParams {
-            ms_per_record: crate::units::Millis::new(1.0),
-            extra_ms: crate::units::Millis::new(50.0),
+            ms_per_record: Millis::new(1.0),
+            extra_ms: Millis::new(50.0),
         });
         let bpr = blot_codec::SchemeTable::build(|_| 38.0);
         let model = CostModel::from_params("synthetic", params, bpr);

@@ -10,18 +10,31 @@
 //!
 //! Arithmetic is dimensional: same-unit addition/subtraction, scalar
 //! scaling, and same-unit division yielding a dimensionless ratio.
-//! Cross-unit `+`/`-` simply does not compile — and the workspace audit
-//! (`cargo xtask lint`, rule `unit-flow`) additionally infers a unit
-//! family for raw `f64` locals, parameters and returns — seeded by
-//! these newtypes and suffix conventions, propagated workspace-wide
-//! through bindings, `.get()`/`.0` escapes and call summaries — so
-//! untyped locals cannot smuggle a seconds value into a bytes slot
-//! even across crate boundaries. `blot-geo` and `blot-mip` sit *below*
-//! this crate in the dependency order, so they cannot import these
-//! newtypes; the lint's inference is what covers them.
+//! Cross-unit `+`, `-` and comparison simply do not compile — the type
+//! checker is the unit gate, and these are its known-bad inputs:
 //!
-//! Convention at the boundary: a raw `f64` extracted with `.get()` is
-//! only ever passed straight into a sink that documents its unit.
+//! ```compile_fail
+//! use blot_core::units::{Bytes, Millis};
+//! let _ = Millis::new(2.0) + Bytes::new(4096.0); // milliseconds + bytes
+//! ```
+//!
+//! ```compile_fail
+//! use blot_core::units::{Millis, PartitionCount};
+//! let _ = Millis::new(50.0) - PartitionCount::of(3); // milliseconds - partitions
+//! ```
+//!
+//! ```compile_fail
+//! use blot_core::units::{Bytes, Millis};
+//! let _ = Bytes::new(1.0) < Millis::new(1.0); // bytes compared with milliseconds
+//! ```
+//!
+//! Nothing infers units for a raw `f64`, so the convention at the
+//! boundary is: keep a quantity in its newtype across function
+//! boundaries, and pass a raw `f64` extracted with `.get()` only
+//! straight into a sink that documents its unit. `blot-geo` and
+//! `blot-mip` sit *below* this crate in the dependency order and cannot
+//! use these newtypes; their `f64`s are coordinates, extents and
+//! objective coefficients, documented where they are defined.
 
 use std::fmt;
 use std::iter::Sum;

@@ -5,7 +5,8 @@
 //! tolerant tableau with Dantzig pricing that falls back to Bland's rule
 //! to guarantee termination under degeneracy.
 
-// audit: allow-file(indexing, dense simplex tableau — every row/column index is bounded by dimensions fixed when the tableau is built)
+// Dense simplex tableau — every row/column index is bounded by
+// dimensions fixed when the tableau is built.
 #![allow(clippy::indexing_slicing)]
 
 use crate::{Problem, Relation};

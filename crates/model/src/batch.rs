@@ -1,4 +1,3 @@
-// audit: allow-file(panic-reachability, columnar SoA accessors; every index is bounds-documented or derived from 0..len)
 use blot_geo::{Cuboid, Point};
 
 use crate::{ParseError, Record};
@@ -92,7 +91,7 @@ impl RecordBatch {
     ///
     /// Panics if `i >= self.len()`.
     #[must_use]
-    #[allow(clippy::indexing_slicing)]
+    #[allow(clippy::indexing_slicing)] // the documented `# Panics` contract
     pub fn get(&self, i: usize) -> Record {
         Record {
             oid: self.oids[i],
@@ -112,7 +111,7 @@ impl RecordBatch {
     ///
     /// Panics if `i >= self.len()`.
     #[must_use]
-    #[allow(clippy::indexing_slicing)]
+    #[allow(clippy::indexing_slicing)] // the documented `# Panics` contract
     pub fn point(&self, i: usize) -> Point {
         #[allow(clippy::cast_precision_loss)]
         Point::new(self.xs[i], self.ys[i], self.times[i] as f64)

@@ -24,6 +24,10 @@
 //! replica answered, via its stats and trace views.
 
 #![forbid(unsafe_code)]
+// No silently dropped `Result` (DESIGN.md §6b): handle it, or `#[allow]`
+// the site with the reason the loss is harmless. Tests opt out, as they
+// do for the panic lints in clippy.toml.
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod coordinator;
 pub mod error;

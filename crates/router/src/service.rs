@@ -4,7 +4,7 @@
 //! `Server::start` accepts any `QueryService`, so wrapping the
 //! coordinator in [`RouterService`] gives the distributed tier the
 //! whole serving stack — framing, admission control, micro-batching,
-//! graceful drain, tracing — for free, and `blot query --coordinator`
+//! graceful drain, tracing — for free, and `blot query --remote`
 //! is just the ordinary remote client pointed at it.
 
 use std::sync::Arc;

@@ -187,6 +187,9 @@ impl Client {
     fn ensure_connected(&mut self) -> Result<&mut TcpStream, ClientError> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
+            // Best-effort latency hint: a failure leaves Nagle on and
+            // answers unchanged.
+            #[allow(clippy::let_underscore_must_use)]
             let _ = stream.set_nodelay(true);
             // The timeouts are load-bearing: without them a wedged server
             // would hang `query` forever, so failing to arm them is a

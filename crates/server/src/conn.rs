@@ -195,7 +195,9 @@ fn reject_overloaded(mut stream: TcpStream, message: &str) {
         message: message.to_owned(),
     })
     .encode();
-    // audit: allow(result-discipline, courtesy reply on a connection already being turned away — the close that follows is the real signal)
+    // Courtesy reply on a connection already being turned away — the
+    // close that follows is the real signal.
+    #[allow(clippy::let_underscore_must_use)]
     let _ = wire::write_frame(&mut stream, kind, &payload);
 }
 
@@ -300,6 +302,9 @@ fn error_response(code: ErrorCode, retry_after_ms: u32, message: String) -> Resp
 
 /// Serves one connection until EOF, idle timeout, fault, or shutdown.
 fn serve_connection<S: QueryService + ?Sized>(mut stream: TcpStream, ctx: &ConnContext<S>) {
+    // Best-effort latency hint: a failure leaves Nagle on and answers
+    // unchanged.
+    #[allow(clippy::let_underscore_must_use)]
     let _ = stream.set_nodelay(true);
     ctx.metrics.connections.add(1);
     loop {
@@ -355,6 +360,9 @@ fn serve_connection<S: QueryService + ?Sized>(mut stream: TcpStream, ctx: &ConnC
         }
     }
     ctx.metrics.connections.add(-1);
+    // The socket is dropped next either way; the peer may have closed
+    // its end already.
+    #[allow(clippy::let_underscore_must_use)]
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 

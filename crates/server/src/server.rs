@@ -247,6 +247,9 @@ impl Server {
                 std::thread::sleep(poll);
             }
             if handle.is_finished() {
+                // An `Err` is the thread's panic payload; shutdown
+                // still has the pool to drain and metrics to flush.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = handle.join();
             } else {
                 threads_joined = false;

@@ -747,7 +747,9 @@ impl Response {
                     }
                 })?;
                 // The cursor never advanced; consume it so `finish`
-                // does not flag the payload as trailing.
+                // does not flag the payload as trailing (taking the
+                // whole payload cannot run short).
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = c.take(frame.payload.len());
                 Self::StatsOk(json)
             }
@@ -758,6 +760,7 @@ impl Response {
                     }
                 })?;
                 // Same trailing-bytes bookkeeping as `StatsOk`.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = c.take(frame.payload.len());
                 Self::TraceOk(json)
             }

@@ -57,6 +57,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No silently dropped `Result` (DESIGN.md §6b): handle it, or `#[allow]`
+// the site with the reason the loss is harmless. Tests opt out, as they
+// do for the panic lints in clippy.toml.
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 mod backend;
 mod env;

@@ -167,6 +167,9 @@ impl ScanExecutor {
     /// across stores reports into the registry of the store that
     /// attached first, and later calls are no-ops.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
+        // First call wins; a later call's `Err` only hands the unused
+        // instruments back.
+        #[allow(clippy::let_underscore_must_use)]
         let _ = self.metrics.set(PoolMetrics {
             queue_depth: registry.gauge("pool.queue_depth"),
             inline_tasks: registry.counter("pool.tasks_inline"),
@@ -231,6 +234,9 @@ impl ScanExecutor {
                 std::thread::sleep(poll);
             }
             if handle.is_finished() {
+                // An `Err` is a worker's panic payload; queued jobs run
+                // under `catch_unwind` and already reported theirs.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = handle.join();
             } else {
                 // Deadline blown: detach. The worker exits on its own
@@ -436,6 +442,7 @@ impl Drop for ScanExecutor {
             // A worker that panicked outside `catch_unwind` (impossible
             // for queued jobs, which are wrapped) is already gone;
             // nothing to clean up.
+            #[allow(clippy::let_underscore_must_use)]
             let _ = worker.join();
         }
     }

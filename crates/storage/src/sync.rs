@@ -4,7 +4,10 @@
 //! Every structure guarded here (unit maps, failure tables, query logs)
 //! is valid after any prefix of its mutations, so recovering the guard
 //! is always sound — and it keeps panic paths out of library code,
-//! which the workspace audit (`cargo xtask lint`) forbids.
+//! which the workspace clippy lints (`unwrap_used`, `expect_used`,
+//! `panic`) forbid. What the wrappers cannot stop — a guard held across
+//! backend I/O or a pool submission, or locks taken out of order — is
+//! `cargo xtask lint`'s `lock-discipline` rule.
 
 use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 

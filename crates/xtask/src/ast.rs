@@ -1,7 +1,7 @@
 //! A lightweight parse layer over the [`crate::lexer`] token stream.
 //!
-//! The semantic rules (unit safety, lock discipline, registry
-//! completeness) need more structure than the flat token scans of
+//! The semantic rules (lock discipline, registry completeness) need
+//! more structure than the flat token scans of
 //! [`crate::rules`]: function bodies with brace nesting, per-crate item
 //! tables (enums with their variants, impl blocks with their methods)
 //! and call sites with receiver paths. This module recovers exactly
@@ -78,10 +78,6 @@ pub struct FnDecl {
     pub owner: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Signature range `[start, end)` in significant-token space: from
-    /// the token after the fn name to the body `{` (or trait-decl `;`),
-    /// exclusive. Holds the parameter list and the return type.
-    pub sig: (usize, usize),
     /// Body range `[start, end)` in significant-token space, exclusive
     /// of the braces; `None` for bodiless trait declarations.
     pub body: Option<(usize, usize)>,
@@ -96,22 +92,6 @@ pub struct EnumDecl {
     pub line: usize,
     /// Variant names in declaration order.
     pub variants: Vec<String>,
-    /// Largest discriminant value: explicit `= N` assignments are
-    /// honoured, other variants count up from the previous one (the
-    /// language rule). 0 for an empty enum.
-    pub max_discriminant: i128,
-}
-
-/// One parsed impl block.
-#[derive(Debug, Clone)]
-pub struct ImplDecl {
-    /// The implemented type's head identifier (`FailingBackend` for
-    /// `impl<B> Backend for FailingBackend<B>`).
-    pub type_name: String,
-    /// Trait head identifier for trait impls.
-    pub trait_name: Option<String>,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
 }
 
 /// Item table of one file.
@@ -121,8 +101,6 @@ pub struct Ast {
     pub fns: Vec<FnDecl>,
     /// All enums with their variants.
     pub enums: Vec<EnumDecl>,
-    /// All impl blocks.
-    pub impls: Vec<ImplDecl>,
 }
 
 impl Ast {
@@ -149,8 +127,6 @@ pub struct Call {
     pub receiver: Option<String>,
     /// 1-based line of the callee token.
     pub line: usize,
-    /// Significant-token index of the callee token.
-    pub pos: usize,
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -192,13 +168,7 @@ fn parse_items(view: View<'_>, start: usize, end: usize, owner: Option<&str>, as
 
 /// Index just past the group opened at `open` (which must hold `open_t`);
 /// `end` bounds the search.
-pub(crate) fn matching_close(
-    view: View<'_>,
-    open: usize,
-    end: usize,
-    open_t: &str,
-    close_t: &str,
-) -> usize {
+fn matching_close(view: View<'_>, open: usize, end: usize, open_t: &str, close_t: &str) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < end {
@@ -237,7 +207,6 @@ fn parse_fn(view: View<'_>, j: usize, end: usize, owner: Option<&str>, ast: &mut
                     name,
                     owner: owner.map(str::to_string),
                     line,
-                    sig: (j + 2, k),
                     body: Some((k + 1, close.saturating_sub(1))),
                 });
                 return close;
@@ -247,7 +216,6 @@ fn parse_fn(view: View<'_>, j: usize, end: usize, owner: Option<&str>, ast: &mut
                     name,
                     owner: owner.map(str::to_string),
                     line,
-                    sig: (j + 2, k),
                     body: None,
                 });
                 return k + 1;
@@ -273,8 +241,6 @@ fn parse_enum(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
     let close = matching_close(view, open, end, "{", "}");
     let mut variants = Vec::new();
     let mut expect_variant = true;
-    let mut next_implicit = 0i128;
-    let mut max_discriminant = 0i128;
     let mut k = open + 1;
     while k + 1 < close {
         match view.text(k) {
@@ -294,14 +260,6 @@ fn parse_enum(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
             }
             Some(_) if expect_variant && view.kind(k) == Some(Kind::Ident) => {
                 variants.push(view.text(k).unwrap_or_default().to_string());
-                // `Variant = N` pins the discriminant; the next variant
-                // counts up from it.
-                let value = (view.text(k + 1) == Some("="))
-                    .then(|| view.text(k + 2).and_then(parse_int))
-                    .flatten()
-                    .unwrap_or(next_implicit);
-                max_discriminant = max_discriminant.max(value);
-                next_implicit = value + 1;
                 expect_variant = false;
             }
             _ => {}
@@ -312,39 +270,11 @@ fn parse_enum(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
         name,
         line,
         variants,
-        max_discriminant,
     });
     close
 }
 
-/// Parses a decimal or `0x`-hex integer literal, tolerating `_`
-/// separators and a type suffix (`7u32`, `0xFF_u16`). Floats parse to
-/// `None`.
-#[must_use]
-pub(crate) fn parse_int(text: &str) -> Option<i128> {
-    let text: String = text.chars().filter(|&c| c != '_').collect();
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        let digits: String = hex.chars().take_while(char::is_ascii_hexdigit).collect();
-        if digits.is_empty() {
-            return None;
-        }
-        return i128::from_str_radix(&digits, 16).ok();
-    }
-    let digits: String = text.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    // Reject floats (`1.5`, `1e3`): after the digits only a type suffix
-    // like `u32` may follow, which never starts with `.`/`e`/`E`.
-    let rest = &text[digits.len()..];
-    if rest.starts_with('.') || rest.starts_with('e') || rest.starts_with('E') {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 fn parse_impl(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
-    let line = view.line(j);
     // Header: up to the body `{`; generics may not contain braces.
     let mut open = j + 1;
     while open < end && view.text(open) != Some("{") {
@@ -353,7 +283,6 @@ fn parse_impl(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
     // `impl … for Type` → the ident after `for`; otherwise the first
     // ident after the (optional) generic parameter list.
     let mut type_name = String::new();
-    let mut trait_name = None;
     let mut for_at = None;
     for k in j + 1..open {
         if view.is_ident(k, "for") {
@@ -364,13 +293,6 @@ fn parse_impl(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
     if let Some(f) = for_at {
         if view.kind(f + 1) == Some(Kind::Ident) {
             type_name = view.text(f + 1).unwrap_or_default().to_string();
-        }
-        // Trait head: the last path ident before `for`'s generics.
-        for k in (j + 1..f).rev() {
-            if view.kind(k) == Some(Kind::Ident) && view.text(k) != Some("const") {
-                trait_name = view.text(k).map(str::to_string);
-                break;
-            }
         }
     } else {
         let mut k = j + 1;
@@ -399,11 +321,6 @@ fn parse_impl(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
             k += 1;
         }
     }
-    ast.impls.push(ImplDecl {
-        type_name: type_name.clone(),
-        trait_name,
-        line,
-    });
     let close = matching_close(view, open, end, "{", "}");
     parse_items(
         view,
@@ -433,14 +350,12 @@ pub fn calls_in(view: View<'_>, start: usize, end: usize) -> Vec<Call> {
                 callee: name.to_string(),
                 receiver: receiver_path(view, j - 1, start),
                 line: view.line(j),
-                pos: j,
             });
         } else {
             out.push(Call {
                 callee: free_path(view, j, start),
                 receiver: None,
                 line: view.line(j),
-                pos: j,
             });
         }
     }
@@ -493,13 +408,9 @@ fn free_path(view: View<'_>, name_at: usize, floor: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn with_ast<R>(src: &str, f: impl FnOnce(View<'_>, &Ast) -> R) -> R {
-        let tokens = lex(src);
-        let sig: Vec<usize> = (0..tokens.len())
-            .filter(|&i| matches!(tokens[i].kind, Kind::Ident | Kind::Punct | Kind::Literal))
-            .collect();
+        let (tokens, sig) = crate::rules::lex_significant(src);
         let view = View::new(&tokens, &sig);
         let ast = parse(view);
         f(view, &ast)
@@ -539,15 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn impl_heads_are_recovered() {
+    fn generic_impl_heads_name_the_owner() {
         with_ast(
-            "impl<B: Backend> Backend for FailingBackend<B> { }\n\
-             impl<T> SchemeTable<T> { }\n",
+            "impl<B: Backend> Backend for FailingBackend<B> { fn get(&self) {} }\n\
+             impl<T> SchemeTable<T> { fn len(&self) {} }\n",
             |_, ast| {
-                assert_eq!(ast.impls[0].type_name, "FailingBackend");
-                assert_eq!(ast.impls[0].trait_name.as_deref(), Some("Backend"));
-                assert_eq!(ast.impls[1].type_name, "SchemeTable");
-                assert_eq!(ast.impls[1].trait_name, None);
+                assert_eq!(ast.fns[0].owner.as_deref(), Some("FailingBackend"));
+                assert_eq!(ast.fns[1].owner.as_deref(), Some("SchemeTable"));
             },
         );
     }

@@ -1,78 +1,31 @@
 //! blot-audit: the workspace's static-analysis gate.
 //!
 //! `cargo xtask lint` walks every workspace crate and enforces the
-//! invariants the replica-selection hot paths rely on:
+//! invariants nothing else in the lint lane checks (panic-freedom,
+//! checked indexing and casts, `# Errors` docs, discarded `Result`s and
+//! unit mixing are rustc's, clippy's and `blot_core::units`' job — see
+//! DESIGN.md §6b for the invariant → gate table):
 //!
-//! * **panic** — no `.unwrap()` / `.expect(…)` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in the non-test
-//!   library code of the audited crates (`core`, `storage`, `codec`,
-//!   `mip`, `index`): a query must fail over to another replica, not
-//!   abort the process;
-//! * **indexing** — no `expr[…]` in the same scope (prefer `.get(…)`;
-//!   structurally-safe dense loops carry a justification);
-//! * **errors-doc** — every `pub fn` returning `Result` documents its
-//!   `# Errors`;
 //! * **error-traits** — every public error enum has an
 //!   `std::error::Error` impl and a `require_error_traits::<…>`
 //!   Send + Sync compile-time assertion;
 //! * **deps** — offline `cargo metadata` audit: licenses declared,
-//!   no duplicate semver-major versions.
-//!
-//! v2 adds semantic rule families on top, built on the parsed
-//! workspace model in [`ast`]:
-//!
+//!   no duplicate semver-major versions;
 //! * **lock-discipline** — no `storage::sync` guard held across
-//!   backend I/O, and lock acquisitions follow the declared order; see
-//!   [`locks`];
+//!   backend I/O or an `execute_all` submission, and lock acquisitions
+//!   follow the declared order; see [`locks`];
+//! * **thread-discipline** — no ad-hoc OS threads outside the shared
+//!   scan-executor pool;
 //! * **metrics-discipline** — no ad-hoc `static` atomics in the
 //!   instrumented crates (`core`, `storage`): every global counter is
-//!   a registered `blot-obs` instrument, so `metrics_snapshot()` and
-//!   `blot stats` see all of them;
-//! * **registry** — every `codec::scheme` variant resolves to an
-//!   encoder, a decoder, a round-trip proptest, and a fuzz target; see
-//!   [`registry`];
-//!
-//! v3 adds three *workspace-scoped* analyses that reason across crate
-//! boundaries instead of file by file:
-//!
-//! * **panic-reachability** — no function in a panic-free crate may
-//!   transitively reach a panic/unwrap/indexing site in another
-//!   workspace crate; the workspace call graph closes the cross-crate
-//!   escape hatch the lexical `panic` rule cannot see; see
-//!   [`callgraph`];
-//! * **deadlock** — held-guard sets propagate through call edges:
-//!   transitive re-acquisition, lock-order inversion, blocking I/O or
-//!   `ScanExecutor::execute_all` under a guard, and cycles in the
-//!   workspace lock-acquisition graph all fail; see [`callgraph`];
-//! * **wire-registry** — every `server::wire`
-//!   `Request`/`Response`/`ErrorCode` variant needs encode + decode
-//!   arms, client-side handling, and a test-corpus mention; see
-//!   [`registry`];
-//!
-//! v4 adds the summary-based interprocedural dataflow engine in
-//! [`dataflow`], with three rule families running to a deterministic
-//! fixpoint over the whole workspace:
-//!
-//! * **unit-flow** — unit-family inference (ms / sec / bytes /
-//!   partitions / records / ratio) for locals, params and returns,
-//!   propagated through `let` bindings, `.get()`/`.0` escapes and call
-//!   summaries; flags cross-family additive/comparison arithmetic and
-//!   re-wrapping an escaped value into a different family (supersedes
-//!   the old file-scoped lexical `unit-safety` rule);
-//! * **result-discipline** — silently discarded fallible calls in the
-//!   panic-free crates, plus the wire `ErrorCode`
-//!   retryability-vs-emission cross-check;
-//! * **cast-range** — interval propagation proving each narrowing `as`
-//!   cast in the bit-level codec/wire files in-range, or flagging it
-//!   (supersedes the old lexical `lossy-cast` rule);
-//!
-//! plus the **ratchet**: `crates/xtask/ratchet.toml` pins the
-//! per-rule waiver counts, and the lint fails when the live ledger
-//! drifts from the pin in either direction (see [`ratchet`]).
-//!
-//! Waivers are per-site `// audit: allow(rule, reason)` comments (or
-//! `allow-file` for whole files); the lint prints the full ledger and
-//! fails on waivers that no longer waive anything.
+//!   a registered `blot-obs` instrument;
+//! * **registry** / **wire-registry** — every `codec::scheme` variant
+//!   resolves to an encoder, a decoder, a round-trip proptest and a
+//!   fuzz target, and every `server::wire` variant to encode + decode
+//!   arms, client-side handling and a test mention; see [`registry`];
+//! * **ratchet** / **unused-allow** — `crates/xtask/ratchet.toml` pins
+//!   the per-rule count of `// audit: allow(rule, reason)` waivers, and
+//!   a waiver that waives nothing fails; see [`ratchet`].
 
 // Token-index arithmetic throughout this crate works on indices the
 // scanners themselves produced; `.get()` chains would only obscure it.
@@ -80,8 +33,6 @@
 #![allow(clippy::indexing_slicing)]
 
 pub mod ast;
-pub mod callgraph;
-pub mod dataflow;
 pub mod deps;
 pub mod fuzz;
 pub mod lexer;
@@ -90,31 +41,10 @@ pub mod overhead;
 pub mod ratchet;
 pub mod registry;
 pub mod rules;
-pub mod units;
 
 use rules::{Allow, Rule, RuleSet, Violation};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Crates whose library code must be panic-free (rule `panic` and
-/// `indexing`): these implement the query/repair hot paths and the
-/// network serving layer (a panic there kills a connection handler).
-pub const PANIC_FREE_CRATES: &[&str] = &[
-    "core", "storage", "codec", "mip", "index", "server", "router",
-];
-
-/// `(crate, file)` pairs holding bit-level encode/decode state
-/// machines, where every narrowing `as` cast must carry an interval
-/// proof (rule `cast-range`).
-pub const CAST_RANGE_FILES: &[(&str, &str)] = &[
-    ("codec", "bitio.rs"),
-    ("codec", "varint.rs"),
-    ("codec", "gorilla.rs"),
-    ("codec", "range.rs"),
-    ("codec", "zonemap.rs"),
-    ("server", "wire.rs"),
-];
 
 /// Crates whose code uses the `storage::sync` lock wrappers (rule
 /// `lock-discipline`).
@@ -145,12 +75,8 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Every `audit: allow` comment found, with use counts.
     pub allows: Vec<Allow>,
-    /// Waived sites per rule.
-    pub waived: HashMap<Rule, usize>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Statistics from the interprocedural dataflow pass.
-    pub dataflow: dataflow::Stats,
 }
 
 impl Report {
@@ -158,12 +84,6 @@ impl Report {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Violation count for one rule.
-    #[must_use]
-    pub fn count(&self, rule: Rule) -> usize {
-        self.violations.iter().filter(|v| v.rule == rule).count()
     }
 
     /// Renders the human-readable report.
@@ -180,40 +100,27 @@ impl Report {
             self.files_scanned,
             self.violations.len()
         );
-        let _ = writeln!(
-            out,
-            "dataflow: {} fn(s) summarised in {} round(s), {} cast proof(s), cache {} hit / {} \
-             miss, extract {} ms",
-            self.dataflow.functions,
-            self.dataflow.rounds,
-            self.dataflow.cast_proofs,
-            self.dataflow.cache_hits,
-            self.dataflow.cache_misses,
-            self.dataflow.extract_ms
-        );
         for &rule in Rule::ALL {
-            let n = self.count(rule);
-            let waived = self.waived.get(&rule).copied().unwrap_or(0);
+            let n = self.violations.iter().filter(|v| v.rule == rule).count();
+            let waived: usize = self
+                .allows
+                .iter()
+                .filter(|a| a.rule == rule)
+                .map(|a| a.used)
+                .sum();
             if n > 0 || waived > 0 {
                 let _ = writeln!(out, "  {rule:<14} {n} violation(s), {waived} waived");
             }
         }
-        let used: Vec<&Allow> = self.used_allows();
+        let used: Vec<&Allow> = self.allows.iter().filter(|a| a.used > 0).collect();
         if !used.is_empty() {
-            let _ = writeln!(out, "allow ledger ({} entr{}):", used.len(), {
-                if used.len() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            });
+            let _ = writeln!(out, "allow ledger ({} used):", used.len());
             for a in used {
                 let _ = writeln!(
                     out,
-                    "  {}:{}: {}({}) ×{} — {}",
+                    "  {}:{}: allow({}) ×{} — {}",
                     a.file.display(),
                     a.line,
-                    if a.file_wide { "allow-file" } else { "allow" },
                     a.rule,
                     a.used,
                     if a.reason.is_empty() {
@@ -225,59 +132,6 @@ impl Report {
             }
         }
         out
-    }
-
-    fn used_allows(&self) -> Vec<&Allow> {
-        self.allows.iter().filter(|a| a.used > 0).collect()
-    }
-
-    /// Machine-readable report for `cargo xtask lint --json`: the
-    /// verdict, every violation, and the live waiver ledger.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)] // counts, far below 2^52
-    pub fn to_json(&self) -> blot_json::Json {
-        use blot_json::Json;
-        let violations: Vec<Json> = self
-            .violations
-            .iter()
-            .map(|v| {
-                Json::obj([
-                    ("rule", Json::Str(v.rule.name().to_string())),
-                    ("file", Json::Str(v.file.display().to_string())),
-                    ("line", Json::Num(v.line as f64)),
-                    ("message", Json::Str(v.message.clone())),
-                ])
-            })
-            .collect();
-        let allows: Vec<Json> = self
-            .used_allows()
-            .into_iter()
-            .map(|a| {
-                Json::obj([
-                    ("rule", Json::Str(a.rule.name().to_string())),
-                    ("file", Json::Str(a.file.display().to_string())),
-                    ("line", Json::Num(a.line as f64)),
-                    ("file_wide", Json::Bool(a.file_wide)),
-                    ("used", Json::Num(a.used as f64)),
-                    ("reason", Json::Str(a.reason.clone())),
-                ])
-            })
-            .collect();
-        let dataflow = Json::obj([
-            ("functions", Json::Num(self.dataflow.functions as f64)),
-            ("rounds", Json::Num(self.dataflow.rounds as f64)),
-            ("cast_proofs", Json::Num(self.dataflow.cast_proofs as f64)),
-            ("cache_hits", Json::Num(self.dataflow.cache_hits as f64)),
-            ("cache_misses", Json::Num(self.dataflow.cache_misses as f64)),
-            ("extract_ms", Json::Num(self.dataflow.extract_ms as f64)),
-        ]);
-        Json::obj([
-            ("clean", Json::Bool(self.is_clean())),
-            ("files_scanned", Json::Num(self.files_scanned as f64)),
-            ("violations", Json::Arr(violations)),
-            ("allows", Json::Arr(allows)),
-            ("dataflow", dataflow),
-        ])
     }
 
     /// GitHub Actions workflow annotations, one `::error` line per
@@ -323,57 +177,34 @@ pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
         .collect();
     crate_dirs.sort();
 
-    let mut sources: Vec<callgraph::SourceFile> = Vec::new();
     for dir in crate_dirs {
         let crate_name = dir
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or_default()
             .to_string();
-        lint_crate(root, &dir, &crate_name, &mut report, &mut sources)?;
+        lint_crate(root, &dir, &crate_name, &mut report)?;
     }
     // The facade crate's own sources.
-    lint_crate(root, root, "blot", &mut report, &mut sources)?;
+    lint_crate(root, root, "blot", &mut report)?;
 
     if with_deps {
         report.violations.extend(deps::audit_dependencies(root)?);
     }
 
-    // Workspace call-graph analyses: transitive panic-reachability and
-    // deadlock detection across crate boundaries. Source vets consume
-    // their allow entries inside `check_workspace`; frontier/call-site
-    // waivers apply here like any per-site rule.
-    let dep_graph = callgraph::crate_deps(root)?;
-    let cg_violations =
-        callgraph::check_workspace(&sources, &dep_graph, PANIC_FREE_CRATES, &mut report.allows);
-    apply_allows(cg_violations, &mut report);
-
-    // Interprocedural dataflow: unit-flow, result-discipline and
-    // cast-range, sharing the call-resolution policy with the call
-    // graph above. Extraction goes through the content-hash cache.
-    let df = dataflow::check_workspace(
-        &sources,
-        &dep_graph,
-        PANIC_FREE_CRATES,
-        CAST_RANGE_FILES,
-        Some(&root.join("target/xtask-cache")),
-    );
-    apply_allows(df.violations, &mut report);
-    report.dataflow = df.stats;
-
     // Registry completeness: the codec scheme enums against their
     // encoder/decoder arms, property tests and fuzz targets.
+    let read = |rel: &Path| {
+        std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("cannot read {}: {e}", rel.display()))
+    };
     let scheme_file = Path::new("crates/codec/src/scheme.rs");
     let props_file = Path::new("crates/codec/tests/properties.rs");
-    let scheme_src = std::fs::read_to_string(root.join(scheme_file))
-        .map_err(|e| format!("cannot read {}: {e}", scheme_file.display()))?;
-    let props_src = std::fs::read_to_string(root.join(props_file))
-        .map_err(|e| format!("cannot read {}: {e}", props_file.display()))?;
     report.violations.extend(registry::check_registry(
         scheme_file,
-        &scheme_src,
+        &read(scheme_file)?,
         props_file,
-        &props_src,
+        &read(props_file)?,
         &fuzz::target_names(),
     ));
 
@@ -382,19 +213,12 @@ pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
     // test coverage.
     let wire_file = Path::new("crates/server/src/wire.rs");
     let client_file = Path::new("crates/server/src/client.rs");
-    let e2e_file = Path::new("crates/server/tests/e2e.rs");
-    let wire_src = std::fs::read_to_string(root.join(wire_file))
-        .map_err(|e| format!("cannot read {}: {e}", wire_file.display()))?;
-    let client_src = std::fs::read_to_string(root.join(client_file))
-        .map_err(|e| format!("cannot read {}: {e}", client_file.display()))?;
-    let e2e_src = std::fs::read_to_string(root.join(e2e_file))
-        .map_err(|e| format!("cannot read {}: {e}", e2e_file.display()))?;
     report.violations.extend(registry::check_wire_registry(
         wire_file,
-        &wire_src,
+        &read(wire_file)?,
         client_file,
-        &client_src,
-        &e2e_src,
+        &read(client_file)?,
+        &read(Path::new("crates/server/tests/e2e.rs"))?,
     ));
 
     // The waiver ratchet: live allow-comment counts against the pins.
@@ -416,31 +240,11 @@ pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Applies the site-waiver ledger to workspace-scoped violations (the
-/// per-file rules do this inside [`rules::audit_file`]; workspace rules
-/// arrive after the walk, so the match must compare files too).
-fn apply_allows(raw: Vec<Violation>, report: &mut Report) {
-    for v in raw {
-        let allow = report.allows.iter_mut().find(|a| {
-            a.rule == v.rule
-                && a.file == v.file
-                && (a.file_wide || a.line == v.line || a.line + 1 == v.line)
-        });
-        if let Some(a) = allow {
-            a.used += 1;
-            *report.waived.entry(v.rule).or_default() += 1;
-        } else {
-            report.violations.push(v);
-        }
-    }
-}
-
 fn lint_crate(
     root: &Path,
     dir: &Path,
     crate_name: &str,
     report: &mut Report,
-    sources: &mut Vec<callgraph::SourceFile>,
 ) -> Result<(), String> {
     let src = dir.join("src");
     if !src.is_dir() {
@@ -450,7 +254,6 @@ fn lint_crate(
     collect_rs_files(&src, &mut files)?;
     files.sort();
 
-    let panic_free = PANIC_FREE_CRATES.contains(&crate_name);
     let mut error_enums: Vec<(String, usize, PathBuf)> = Vec::new();
     let mut assertions: Vec<String> = Vec::new();
     let mut impls: Vec<String> = Vec::new();
@@ -463,27 +266,16 @@ fn lint_crate(
             .and_then(|n| n.to_str())
             .unwrap_or_default();
         let rules = RuleSet {
-            panic: panic_free,
-            indexing: panic_free,
-            errors_doc: true,
             lock_discipline: LOCK_DISCIPLINE_CRATES.contains(&crate_name),
             thread_discipline: THREAD_DISCIPLINE_CRATES.contains(&crate_name)
                 && file_name != THREAD_DISCIPLINE_EXEMPT_FILE,
             metrics_discipline: METRICS_DISCIPLINE_CRATES.contains(&crate_name),
         };
         let rel = file.strip_prefix(root).unwrap_or(file);
-        sources.push(callgraph::SourceFile {
-            crate_name: crate_name.to_string(),
-            path: rel.to_path_buf(),
-            source: source.clone(),
-        });
         let fr = rules::audit_file(rel, &source, rules);
         report.files_scanned += 1;
         report.violations.extend(fr.violations);
         report.allows.extend(fr.allows);
-        for (rule, n) in fr.waived {
-            *report.waived.entry(rule).or_default() += n;
-        }
         for (name, line) in fr.error_enums {
             error_enums.push((name, line, rel.to_path_buf()));
         }

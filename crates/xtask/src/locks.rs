@@ -7,9 +7,11 @@
 //! 1. **Guards held across I/O** — a `let`-bound guard that stays live
 //!    across a call into the backend (`get`/`put`/`delete`/`list` on a
 //!    backend receiver, `std::fs::*`, or a scan job) serialises every
-//!    concurrent reader behind one unit's disk latency. All hot-path
-//!    code uses temporary guards (`self.units.write().insert(…)`) that
-//!    die at the end of the statement; the lint enforces that shape.
+//!    concurrent reader behind one unit's disk latency, and one held
+//!    across a `ScanExecutor::execute_all` submission can wedge the
+//!    pool on a task that needs the same lock. All hot-path code uses
+//!    temporary guards (`self.units.write().insert(…)`) that die at the
+//!    end of the statement; the lint enforces that shape.
 //! 2. **Lock-order inversions** — acquiring a second guard while one is
 //!    held must follow the declared global order [`LOCK_ORDER`], or two
 //!    threads taking the pair in opposite orders can deadlock.
@@ -45,20 +47,19 @@ const IO_METHODS: &[&str] = &[
 /// Receiver path segments that identify a backend value.
 const BACKEND_RECEIVERS: &[&str] = &["backend", "inner"];
 
-/// One tracked guard binding. Shared with [`crate::callgraph`], which
-/// lifts the same liveness model to workspace call edges.
-pub(crate) struct Guard {
+/// One tracked guard binding.
+struct Guard {
     /// Binding name (`_g`, `units`).
-    pub(crate) name: String,
+    name: String,
     /// Final segment of the locked path (`self.units` → `units`).
-    pub(crate) lock: String,
+    lock: String,
     /// Significant-token index where liveness starts (just after the
     /// binding statement's `;`).
-    pub(crate) from: usize,
+    from: usize,
     /// Exclusive end of liveness (enclosing block close or `drop`).
-    pub(crate) until: usize,
+    until: usize,
     /// 1-based line of the binding.
-    pub(crate) line: usize,
+    line: usize,
 }
 
 /// Scans every function body for guard-liveness and lock-order issues.
@@ -76,16 +77,16 @@ fn scan_body(file: &Path, view: View<'_>, start: usize, end: usize, out: &mut Ve
     let guards = collect_guards(view, start, end, &depths);
 
     for g in &guards {
-        // I/O while the guard is live.
+        // I/O or a pool submission while the guard is live.
         for call in ast::calls_in(view, g.from, g.until) {
-            if is_io_call(&call) {
+            if is_blocking_call(&call) {
                 out.push(Violation {
                     rule: Rule::LockDiscipline,
                     file: file.to_path_buf(),
                     line: call.line,
                     message: format!(
-                        "guard `{}` (lock `{}`, bound on line {}) is still live across the I/O \
-                         call `{}` — drop it first or use a temporary guard",
+                        "guard `{}` (lock `{}`, bound on line {}) is still live across the \
+                         blocking call `{}` — drop it first or use a temporary guard",
                         g.name, g.lock, g.line, call.callee
                     ),
                 });
@@ -117,13 +118,13 @@ fn scan_body(file: &Path, view: View<'_>, start: usize, end: usize, out: &mut Ve
     }
 }
 
-pub(crate) fn rank(lock: &str) -> Option<usize> {
+fn rank(lock: &str) -> Option<usize> {
     LOCK_ORDER.iter().position(|&l| l == lock)
 }
 
 /// Brace depth *after* each token in `[start, end)`, relative to the
 /// body (index 0 ↔ `start`).
-pub(crate) fn brace_depths(view: View<'_>, start: usize, end: usize) -> Vec<i32> {
+fn brace_depths(view: View<'_>, start: usize, end: usize) -> Vec<i32> {
     let mut depths = Vec::with_capacity(end.saturating_sub(start));
     let mut d = 0i32;
     for j in start..end {
@@ -140,7 +141,7 @@ pub(crate) fn brace_depths(view: View<'_>, start: usize, end: usize) -> Vec<i32>
 /// Is token `j` the method name of an empty-argument `.lock()` /
 /// `.read()` / `.write()` call? Returns the lock's final path segment
 /// and the index just past the call.
-pub(crate) fn acquisition_at(view: View<'_>, floor: usize, j: usize) -> Option<(String, usize)> {
+fn acquisition_at(view: View<'_>, floor: usize, j: usize) -> Option<(String, usize)> {
     if view.kind(j) != Some(Kind::Ident)
         || !matches!(view.text(j), Some("lock" | "read" | "write"))
         || view.text(j + 1) != Some("(")
@@ -158,15 +159,8 @@ pub(crate) fn acquisition_at(view: View<'_>, floor: usize, j: usize) -> Option<(
 }
 
 /// Finds `let [mut] name = ….lock/read/write();` statements and
-/// computes each guard's live range. A single trailing
-/// `.unwrap_or_else(…)` after the acquisition is accepted too — the
-/// poison-recovery idiom std-mutex code in `server`/`obs` uses.
-pub(crate) fn collect_guards(
-    view: View<'_>,
-    start: usize,
-    end: usize,
-    depths: &[i32],
-) -> Vec<Guard> {
+/// computes each guard's live range.
+fn collect_guards(view: View<'_>, start: usize, end: usize, depths: &[i32]) -> Vec<Guard> {
     let mut guards = Vec::new();
     let mut j = start;
     while j < end {
@@ -209,31 +203,12 @@ pub(crate) fn collect_guards(
         };
         // The initialiser must *end* with the acquisition — a longer
         // chain (`.lock().clone()`) drops the guard inside the
-        // statement — except for one trailing `.unwrap_or_else(…)`,
-        // which recovers the guard from a poisoned std mutex.
-        let acq_end = if view.text(semi.wrapping_sub(1)) == Some(")")
-            && acquisition_at(view, start, semi - 3).is_none()
-        {
-            // Look for `….lock().unwrap_or_else( … );`: the closure
-            // call's `(` must close right before the `;`.
-            (n + 2..semi.saturating_sub(3))
-                .find(|&k| {
-                    view.is_ident(k, "unwrap_or_else")
-                        && view.text(k.wrapping_sub(1)) == Some(".")
-                        && view.text(k + 1) == Some("(")
-                        && ast::matching_close(view, k + 1, semi + 1, "(", ")") == semi
-                })
-                .map(|k| k - 1)
-        } else {
-            Some(semi)
-        };
-        let lock = acq_end.filter(|_| name != "_").and_then(|e| {
-            (e >= 4)
-                .then(|| acquisition_at(view, start, e - 3))
-                .flatten()
-                .filter(|&(_, past)| past == e)
-                .map(|(lock, _)| lock)
-        });
+        // statement.
+        let lock = (name != "_" && semi >= 4)
+            .then(|| acquisition_at(view, start, semi - 3))
+            .flatten()
+            .filter(|&(_, past)| past == semi)
+            .map(|(lock, _)| lock);
         let Some(lock) = lock else {
             j = semi + 1;
             continue;
@@ -268,11 +243,17 @@ pub(crate) fn collect_guards(
     guards
 }
 
-pub(crate) fn is_io_call(call: &ast::Call) -> bool {
+fn is_blocking_call(call: &ast::Call) -> bool {
     if call.callee.starts_with("std::fs") || call.callee.starts_with("fs::") {
         return true;
     }
-    if call.callee == "run_scan" || call.callee.ends_with("::run_scan") {
+    // A scan reads the backend; a batch submitted to the shared pool
+    // blocks until every task has run, and a task that needs the held
+    // lock never finishes.
+    if matches!(
+        call.callee.rsplit("::").next(),
+        Some("run_scan" | "execute_all")
+    ) {
         return true;
     }
     if let Some(recv) = &call.receiver {

@@ -2,18 +2,15 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-const USAGE: &str = "usage: cargo xtask lint [--no-deps] [--update-ratchet] [--json] [--github] [--max-seconds N]\n       cargo xtask lint --explain RULE\n       cargo xtask fuzz [--target NAME] [--millis N]\n       cargo xtask metrics-overhead";
+const USAGE: &str = "usage: cargo xtask lint [--no-deps] [--update-ratchet] [--github]\n       cargo xtask lint --explain RULE\n       cargo xtask fuzz [--target NAME] [--millis N]\n       cargo xtask metrics-overhead";
 
 /// Parsed options of the `lint` subcommand.
 #[derive(Debug, Default)]
 struct LintOptions {
     with_deps: bool,
     update_ratchet: bool,
-    json: bool,
     github: bool,
-    max_seconds: Option<u64>,
     explain: Option<String>,
 }
 
@@ -21,14 +18,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => match parse_lint_options(args.get(1..).unwrap_or(&[])) {
-            Ok(options) => lint(&options),
+            Ok(options) => match &options.explain {
+                Some(rule_name) => explain(rule_name),
+                None => exit(lint(&options)),
+            },
             Err(e) => {
                 eprintln!("{e}\n{USAGE}");
                 ExitCode::from(2)
             }
         },
         Some("fuzz") => fuzz(args.get(1..).unwrap_or(&[])),
-        Some("metrics-overhead") => metrics_overhead(),
+        Some("metrics-overhead") => exit(metrics_overhead()),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -46,12 +46,7 @@ fn parse_lint_options(args: &[String]) -> Result<LintOptions, String> {
         match arg.as_str() {
             "--no-deps" => options.with_deps = false,
             "--update-ratchet" => options.update_ratchet = true,
-            "--json" => options.json = true,
             "--github" => options.github = true,
-            "--max-seconds" => match it.next().map(|m| m.parse()) {
-                Some(Ok(s)) => options.max_seconds = Some(s),
-                _ => return Err("--max-seconds needs an integer wall-time budget".into()),
-            },
             "--explain" => match it.next() {
                 Some(rule) => options.explain = Some(rule.clone()),
                 None => return Err(format!("--explain needs a rule name; one of: {}", rules())),
@@ -62,66 +57,34 @@ fn parse_lint_options(args: &[String]) -> Result<LintOptions, String> {
     Ok(options)
 }
 
-fn lint(options: &LintOptions) -> ExitCode {
-    if let Some(rule_name) = &options.explain {
-        return explain(rule_name);
-    }
-    let root = match workspace_root() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if options.update_ratchet {
-        // First pass only collects the ledger; ratchet mismatches in it
-        // are exactly what the update is about to resolve.
-        match xtask::lint_workspace(&root, false) {
-            Ok(report) => match xtask::ratchet::update(&root, &report.allows) {
-                Ok(path) => println!("ratchet updated: {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let started = Instant::now();
-    match xtask::lint_workspace(&root, options.with_deps) {
-        Ok(report) => {
-            let elapsed = started.elapsed();
-            if options.json {
-                println!("{}", report.to_json().pretty());
-            } else {
-                print!("{}", report.render());
-            }
-            if options.github {
-                print!("{}", report.github_annotations());
-            }
-            if let Some(budget) = options.max_seconds {
-                if elapsed.as_secs() >= budget {
-                    eprintln!(
-                        "error: lint took {:.1} s, over the {budget} s wall-time budget",
-                        elapsed.as_secs_f64()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+/// Maps a subcommand's outcome — `Ok(passed)` or a message — to the
+/// process exit status.
+fn exit(outcome: Result<bool, String>) -> ExitCode {
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn lint(options: &LintOptions) -> Result<bool, String> {
+    let root = workspace_root()?;
+    if options.update_ratchet {
+        // First pass only collects the ledger; ratchet mismatches in it
+        // are exactly what the update is about to resolve.
+        let report = xtask::lint_workspace(&root, false)?;
+        let path = xtask::ratchet::update(&root, &report.allows)?;
+        println!("ratchet updated: {}", path.display());
+    }
+    let report = xtask::lint_workspace(&root, options.with_deps)?;
+    print!("{}", report.render());
+    if options.github {
+        print!("{}", report.github_annotations());
+    }
+    Ok(report.is_clean())
 }
 
 /// Prints one rule's rationale and fix recipe.
@@ -179,9 +142,9 @@ fn fuzz(args: &[String]) -> ExitCode {
             }
         }
     }
-    match xtask::fuzz::run(target.as_deref(), millis) {
-        Ok(summaries) => {
-            let mut failed = false;
+    exit(
+        xtask::fuzz::run(target.as_deref(), millis).map(|summaries| {
+            let mut clean = true;
             for s in &summaries {
                 println!(
                     "fuzz {:<22} {:>9} execs, {} failure(s)",
@@ -190,55 +153,32 @@ fn fuzz(args: &[String]) -> ExitCode {
                     s.failures.len()
                 );
                 for f in &s.failures {
-                    failed = true;
+                    clean = false;
                     println!("  panic: {}", f.message);
                     println!("  input: {}", f.input_hex);
                 }
             }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+            clean
+        }),
+    )
 }
 
-fn metrics_overhead() -> ExitCode {
-    let root = match workspace_root() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match xtask::overhead::check(&root) {
-        Ok(probe) => {
-            println!(
-                "metrics overhead: instrumented {:.2} ms vs compiled-out {:.2} ms \
-                 (ratio {:.3}, budget {:.2}, {} spans recorded)",
-                probe.enabled_min_ms,
-                probe.disabled_min_ms,
-                probe.ratio,
-                xtask::overhead::MAX_RATIO,
-                probe.enabled_spans
-            );
-            if probe.within_budget() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("error: instrumentation exceeds the overhead budget");
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+fn metrics_overhead() -> Result<bool, String> {
+    let probe = xtask::overhead::check(&workspace_root()?)?;
+    println!(
+        "metrics overhead: instrumented {:.2} ms vs compiled-out {:.2} ms \
+         (median of {} alternating runs each; ratio {:.3}, budget {:.2}, {} spans recorded)",
+        probe.enabled_min_ms,
+        probe.disabled_min_ms,
+        xtask::overhead::PAIRS,
+        probe.ratio,
+        xtask::overhead::MAX_RATIO,
+        probe.enabled_spans
+    );
+    if !probe.within_budget() {
+        eprintln!("error: instrumentation exceeds the overhead budget");
     }
+    Ok(probe.within_budget())
 }
 
 fn names() -> String {

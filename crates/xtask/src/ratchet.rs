@@ -215,15 +215,15 @@ mod tests {
             reason: String::new(),
             file: PathBuf::from("x.rs"),
             line: 1,
-            file_wide: false,
             used: 1,
         }
     }
 
     #[test]
     fn parse_render_roundtrip() {
-        let r = Ratchet::parse("# hi\n[waivers]\nindexing = 3\npanic = 0\n").unwrap();
-        assert_eq!(r.pins.get("indexing"), Some(&3));
+        let r = Ratchet::parse("# hi\n[waivers]\nthread-discipline = 3\nlock-discipline = 0\n")
+            .unwrap();
+        assert_eq!(r.pins.get("thread-discipline"), Some(&3));
         assert_eq!(r.total(), 3);
         let again = Ratchet::parse(&r.render()).unwrap();
         assert_eq!(again, r);
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn bad_lines_are_rejected() {
-        assert!(Ratchet::parse("indexing = 3\n").is_err()); // outside section
+        assert!(Ratchet::parse("thread-discipline = 3\n").is_err()); // outside section
         assert!(Ratchet::parse("[waivers]\nindexing three\n").is_err());
         assert!(Ratchet::parse("[waivers]\na = 1\na = 2\n").is_err());
     }
@@ -240,11 +240,14 @@ mod tests {
     fn both_directions_fail() {
         let dir = std::env::temp_dir().join(format!("blot-ratchet-{}", std::process::id()));
         std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
-        std::fs::write(dir.join(RATCHET_PATH), "[waivers]\nindexing = 1\n").unwrap();
+        std::fs::write(dir.join(RATCHET_PATH), "[waivers]\nthread-discipline = 1\n").unwrap();
         // Exact match: clean.
-        assert!(check(&dir, &[allow(Rule::Indexing)]).is_empty());
+        assert!(check(&dir, &[allow(Rule::ThreadDiscipline)]).is_empty());
         // Rose: one violation.
-        let rose = check(&dir, &[allow(Rule::Indexing), allow(Rule::Indexing)]);
+        let rose = check(
+            &dir,
+            &[allow(Rule::ThreadDiscipline), allow(Rule::ThreadDiscipline)],
+        );
         assert_eq!(rose.len(), 1);
         assert!(rose[0].message.contains("rose"));
         // Stale: one violation.
@@ -252,7 +255,10 @@ mod tests {
         assert_eq!(stale.len(), 1);
         assert!(stale[0].message.contains("stale"));
         // Unpinned rule appearing: rose.
-        let unpinned = check(&dir, &[allow(Rule::Indexing), allow(Rule::Panic)]);
+        let unpinned = check(
+            &dir,
+            &[allow(Rule::ThreadDiscipline), allow(Rule::LockDiscipline)],
+        );
         assert_eq!(unpinned.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -263,19 +269,22 @@ mod tests {
         std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
         std::fs::write(
             dir.join(RATCHET_PATH),
-            "[waivers]\nindexing = 2\n\n[ceiling]\ntotal = 1\n",
+            "[waivers]\nthread-discipline = 2\n\n[ceiling]\ntotal = 1\n",
         )
         .unwrap();
         // Per-rule pin matches but the total exceeds the ceiling.
-        let over = check(&dir, &[allow(Rule::Indexing), allow(Rule::Indexing)]);
+        let over = check(
+            &dir,
+            &[allow(Rule::ThreadDiscipline), allow(Rule::ThreadDiscipline)],
+        );
         assert_eq!(over.len(), 1, "{over:?}");
         assert!(over[0].message.contains("ceiling"));
         // An update re-pins the rule counts but keeps the ceiling.
-        update(&dir, &[allow(Rule::Panic)]).unwrap();
+        update(&dir, &[allow(Rule::LockDiscipline)]).unwrap();
         let kept =
             Ratchet::parse(&std::fs::read_to_string(dir.join(RATCHET_PATH)).unwrap()).unwrap();
         assert_eq!(kept.ceiling, Some(1));
-        assert_eq!(kept.pins.get("panic"), Some(&1));
+        assert_eq!(kept.pins.get("lock-discipline"), Some(&1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -283,8 +292,8 @@ mod tests {
     fn update_writes_live_counts() {
         let dir = std::env::temp_dir().join(format!("blot-ratchet-up-{}", std::process::id()));
         std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
-        update(&dir, &[allow(Rule::Indexing)]).unwrap();
-        assert!(check(&dir, &[allow(Rule::Indexing)]).is_empty());
+        update(&dir, &[allow(Rule::ThreadDiscipline)]).unwrap();
+        assert!(check(&dir, &[allow(Rule::ThreadDiscipline)]).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,48 +5,29 @@
 // Test code: panicking on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use xtask::callgraph::{self, SourceFile};
-use xtask::dataflow;
-use xtask::rules::{apply_site_allows, audit_file, Allow, FileReport, Rule, RuleSet, Violation};
+use xtask::rules::{audit_file, FileReport, Rule, RuleSet};
 
-/// The v1 lexer rules; the semantic rules get their own targeted sets
-/// so the older fixtures stay focused on what they prove.
-const LEXER_RULES: RuleSet = RuleSet {
-    panic: true,
-    indexing: true,
-    errors_doc: true,
+/// One rule family per fixture, so each stays focused on what it proves.
+const NO_RULES: RuleSet = RuleSet {
     lock_discipline: false,
     thread_discipline: false,
     metrics_discipline: false,
 };
 
 const LOCK_RULES: RuleSet = RuleSet {
-    panic: false,
-    indexing: false,
-    errors_doc: false,
     lock_discipline: true,
-    thread_discipline: false,
-    metrics_discipline: false,
+    ..NO_RULES
 };
 
 const THREAD_RULES: RuleSet = RuleSet {
-    panic: false,
-    indexing: false,
-    errors_doc: false,
-    lock_discipline: false,
     thread_discipline: true,
-    metrics_discipline: false,
+    ..NO_RULES
 };
 
 const METRICS_RULES: RuleSet = RuleSet {
-    panic: false,
-    indexing: false,
-    errors_doc: false,
-    lock_discipline: false,
-    thread_discipline: false,
     metrics_discipline: true,
+    ..NO_RULES
 };
 
 fn fixture_source(name: &str) -> String {
@@ -65,75 +46,9 @@ fn count(report: &FileReport, rule: Rule) -> usize {
     report.violations.iter().filter(|v| v.rule == rule).count()
 }
 
-/// Drives one fixture through the dataflow engine as a one-file
-/// workspace, applying its own allow comments like the real lint does.
-fn dataflow_fixture(
-    krate: &str,
-    name: &str,
-    panic_free: &[&str],
-    cast_files: &[(&str, &str)],
-) -> (Vec<Violation>, Vec<Allow>, dataflow::Stats) {
-    let path = PathBuf::from(format!("crates/{krate}/src/{name}"));
-    let source = fixture_source(name);
-    let mut allows = audit_file(&path, &source, RuleSet::default()).allows;
-    let files = vec![SourceFile {
-        crate_name: krate.to_string(),
-        path,
-        source,
-    }];
-    let deps: BTreeMap<String, BTreeSet<String>> =
-        std::iter::once((krate.to_string(), BTreeSet::new())).collect();
-    let analysis = dataflow::check_workspace(&files, &deps, panic_free, cast_files, None);
-    let violations = apply_site_allows(analysis.violations, &mut allows);
-    (violations, allows, analysis.stats)
-}
-
-#[test]
-fn panic_rule_fires_on_every_macro_and_method() {
-    let r = audit_fixture("panic_sites.rs", LEXER_RULES);
-    // unwrap, expect, panic!, unreachable!, todo!, unimplemented!
-    assert_eq!(count(&r, Rule::Panic), 6, "violations: {:?}", r.violations);
-}
-
-#[test]
-fn panic_rule_skips_test_modules() {
-    let r = audit_fixture("panic_sites.rs", LEXER_RULES);
-    assert!(
-        !r.violations
-            .iter()
-            .any(|v| v.message.contains("unwrap") && v.line > 19),
-        "the #[cfg(test)] unwrap must not be flagged: {:?}",
-        r.violations
-    );
-}
-
-#[test]
-fn indexing_rule_fires_on_index_and_slice_only() {
-    let r = audit_fixture("indexing.rs", LEXER_RULES);
-    // `v[i]` and `&v[1..3]`; `.get()` and slice patterns stay quiet.
-    assert_eq!(
-        count(&r, Rule::Indexing),
-        2,
-        "violations: {:?}",
-        r.violations
-    );
-}
-
-#[test]
-fn errors_doc_rule_fires_on_undocumented_pub_fn_only() {
-    let r = audit_fixture("errors_doc.rs", LEXER_RULES);
-    assert_eq!(
-        count(&r, Rule::ErrorsDoc),
-        1,
-        "violations: {:?}",
-        r.violations
-    );
-    assert!(r.violations[0].message.contains("undocumented"));
-}
-
 #[test]
 fn error_enums_are_reported_for_crate_level_aggregation() {
-    let r = audit_fixture("error_enum.rs", LEXER_RULES);
+    let r = audit_fixture("error_enum.rs", NO_RULES);
     assert_eq!(r.error_enums.len(), 1);
     assert_eq!(r.error_enums[0].0, "BadError");
     assert!(r.trait_assertions.is_empty());
@@ -142,9 +57,9 @@ fn error_enums_are_reported_for_crate_level_aggregation() {
 
 #[test]
 fn allow_comments_waive_and_stale_allows_are_ledgered() {
-    let r = audit_fixture("allowed.rs", LEXER_RULES);
+    let r = audit_fixture("allowed.rs", THREAD_RULES);
     assert_eq!(
-        count(&r, Rule::Indexing),
+        count(&r, Rule::ThreadDiscipline),
         0,
         "the waived site must not be reported: {:?}",
         r.violations
@@ -152,94 +67,33 @@ fn allow_comments_waive_and_stale_allows_are_ledgered() {
     let used: Vec<_> = r.allows.iter().filter(|a| a.used > 0).collect();
     let stale: Vec<_> = r.allows.iter().filter(|a| a.used == 0).collect();
     assert_eq!(used.len(), 1, "allows: {:?}", r.allows);
-    assert_eq!(used[0].rule, Rule::Indexing);
+    assert_eq!(used[0].rule, Rule::ThreadDiscipline);
     assert_eq!(stale.len(), 1, "allows: {:?}", r.allows);
-    assert_eq!(stale[0].rule, Rule::Panic);
-}
-
-#[test]
-fn unit_flow_rule_fires_on_mixed_families_only() {
-    let (violations, allows, _) = dataflow_fixture("geo", "unit_mixing.rs", &[], &[]);
-    // elapsed_ms + total_bytes, p.extra_ms - np, total_ms += dataset_records,
-    // and w + total_bytes through grace's summary; the derived product,
-    // same-family sums and the waived site stay quiet.
-    let fired: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::UnitFlow)
-        .collect();
-    assert_eq!(fired.len(), 4, "violations: {violations:?}");
-    assert!(
-        fired
-            .iter()
-            .any(|v| v.message.contains("milliseconds") && v.message.contains("bytes")),
-        "messages must name both families: {fired:?}"
-    );
-    let used: Vec<_> = allows.iter().filter(|a| a.used > 0).collect();
-    assert_eq!(used.len(), 1, "allows: {allows:?}");
-    assert_eq!(used[0].rule, Rule::UnitFlow);
-}
-
-#[test]
-fn result_discipline_fires_only_in_panic_free_crates() {
-    let (violations, allows, _) = dataflow_fixture("core", "discards.rs", &["core"], &[]);
-    // The let-underscore drop, the bare-statement drop and the seeded
-    // std method; the propagated, bound, best-effort and vetted drops
-    // stay quiet.
-    let fired: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::ResultDiscipline)
-        .collect();
-    assert_eq!(fired.len(), 3, "violations: {violations:?}");
-    assert!(
-        allows
-            .iter()
-            .any(|a| a.rule == Rule::ResultDiscipline && a.used == 1),
-        "the fixture vet must be ledgered as used: {allows:?}"
-    );
-    // The same file outside the panic-free set is entirely quiet.
-    let (quiet, _, _) = dataflow_fixture("core", "discards.rs", &[], &[]);
-    assert!(quiet.is_empty(), "violations: {quiet:?}");
-}
-
-#[test]
-fn cast_range_proves_in_range_and_flags_the_rest() {
-    let (violations, allows, stats) =
-        dataflow_fixture("codec", "cast_flow.rs", &[], &[("codec", "cast_flow.rs")]);
-    // Masked, widening-source and call-summary casts prove; the u64
-    // parameter cast fires; the vetted cast is waived.
-    let fired: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::CastRange)
-        .collect();
-    assert_eq!(fired.len(), 1, "violations: {violations:?}");
-    assert!(
-        fired[0].message.contains("u8"),
-        "the unprovable cast targets u8: {}",
-        fired[0].message
-    );
-    assert_eq!(stats.cast_proofs, 3, "stats: {stats:?}");
-    assert!(
-        allows
-            .iter()
-            .any(|a| a.rule == Rule::CastRange && a.used == 1),
-        "the fixture vet must be ledgered as used: {allows:?}"
-    );
+    assert_eq!(stale[0].rule, Rule::MetricsDiscipline);
 }
 
 #[test]
 fn lock_discipline_rule_fires_on_guards_held_across_io() {
     let r = audit_fixture("guard_io.rs", LOCK_RULES);
-    // backend.get, std::fs::read, run_scan + backend.list; the dropped,
-    // temporary and scoped guards stay quiet.
+    // backend.get, std::fs::read, run_scan + backend.list, and the
+    // execute_all submission; the dropped, temporary and scoped guards
+    // stay quiet.
     assert_eq!(
         count(&r, Rule::LockDiscipline),
-        4,
+        5,
         "violations: {:?}",
         r.violations
     );
     assert!(
-        !r.violations.iter().any(|v| v.line >= 30),
+        !r.violations.iter().any(|v| v.line >= 37),
         "the ok_* methods must stay quiet: {:?}",
+        r.violations
+    );
+    assert!(
+        r.violations
+            .iter()
+            .any(|v| v.line == 33 && v.message.contains("execute_all")),
+        "a pool submission under a guard must fire: {:?}",
         r.violations
     );
 }
@@ -305,15 +159,8 @@ fn metrics_discipline_rule_fires_on_static_atomics_only() {
 
 #[test]
 fn registry_rule_fires_on_every_gap_of_a_new_variant() {
-    let read = |name: &str| {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(name);
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()))
-    };
-    let scheme = read("registry_gap_scheme.rs");
-    let props = read("registry_gap_properties.rs");
+    let scheme = fixture_source("registry_gap_scheme.rs");
+    let props = fixture_source("registry_gap_properties.rs");
     let violations = xtask::registry::check_registry(
         Path::new("registry_gap_scheme.rs"),
         &scheme,
@@ -343,108 +190,6 @@ fn registry_rule_fires_on_every_gap_of_a_new_variant() {
             .count(),
         3,
         "missing fuzz targets must be reported: {messages:?}"
-    );
-}
-
-/// The `panic-reachability` fixture pair: a panic-free crate calling
-/// across the crate boundary into a helper crate whose panics are
-/// invisible to the lexical rule. The unvetted chain must fire exactly
-/// once, at the frontier call in the panic-free crate; the vetted and
-/// clean chains must stay quiet and the vet must be ledgered as used.
-#[test]
-fn panic_reachability_fires_across_crates_and_vets_cut_it() {
-    let helper_src = fixture_source("reach_helper.rs");
-    let files = vec![
-        SourceFile {
-            crate_name: "core".to_string(),
-            path: PathBuf::from("crates/core/src/reach_free.rs"),
-            source: fixture_source("reach_free.rs"),
-        },
-        SourceFile {
-            crate_name: "geo".to_string(),
-            path: PathBuf::from("crates/geo/src/reach_helper.rs"),
-            source: helper_src.clone(),
-        },
-    ];
-    let deps: BTreeMap<String, BTreeSet<String>> = [
-        (
-            "core".to_string(),
-            std::iter::once("geo".to_string()).collect(),
-        ),
-        ("geo".to_string(), BTreeSet::new()),
-    ]
-    .into_iter()
-    .collect();
-    let mut allows = audit_file(
-        Path::new("crates/geo/src/reach_helper.rs"),
-        &helper_src,
-        RuleSet::default(),
-    )
-    .allows;
-    let violations = callgraph::check_workspace(&files, &deps, &["core"], &mut allows);
-    let panics: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::PanicReach)
-        .collect();
-    assert_eq!(panics.len(), 1, "violations: {violations:?}");
-    let v = panics[0];
-    assert!(
-        v.file.ends_with("reach_free.rs"),
-        "the frontier call in the panic-free crate must be blamed: {v:?}"
-    );
-    assert!(
-        v.message.contains("helper_boom") && v.message.contains("unwrap"),
-        "the message must name the callee and the panic site: {}",
-        v.message
-    );
-    let vet = allows
-        .iter()
-        .find(|a| a.rule == Rule::PanicReach)
-        .expect("the fixture vet is ledgered");
-    assert_eq!(vet.used, 1, "the source vet must be marked used");
-}
-
-/// The `deadlock` fixture: every hazard is hidden behind a call edge,
-/// so only the transitive analysis can see it. All five sub-families
-/// must fire — re-acquisition, order inversion, lock-graph cycle,
-/// blocking I/O under a guard, and batch submission under a guard.
-#[test]
-fn deadlock_rules_fire_on_transitive_hazards() {
-    let files = vec![SourceFile {
-        crate_name: "storage".to_string(),
-        path: PathBuf::from("crates/storage/src/deadlock_chain.rs"),
-        source: fixture_source("deadlock_chain.rs"),
-    }];
-    let deps: BTreeMap<String, BTreeSet<String>> = [("storage".to_string(), BTreeSet::new())]
-        .into_iter()
-        .collect();
-    let mut allows = Vec::new();
-    let violations = callgraph::check_workspace(&files, &deps, &[], &mut allows);
-    let dl: Vec<&str> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::Deadlock)
-        .map(|v| v.message.as_str())
-        .collect();
-    assert_eq!(dl.len(), 5, "violations: {dl:?}");
-    assert!(
-        dl.iter().any(|m| m.contains("re-acquires `log`")),
-        "transitive re-acquisition must fire: {dl:?}"
-    );
-    assert!(
-        dl.iter().any(|m| m.contains("against the declared order")),
-        "order inversion through a call must fire: {dl:?}"
-    );
-    assert!(
-        dl.iter().any(|m| m.contains("lock-acquisition cycle")),
-        "the `log <-> units` cycle must fire: {dl:?}"
-    );
-    assert!(
-        dl.iter().any(|m| m.contains("reaches blocking I/O")),
-        "transitive I/O under a guard must fire: {dl:?}"
-    );
-    assert!(
-        dl.iter().any(|m| m.contains("execute_all` submitted")),
-        "batch submission under a guard must fire: {dl:?}"
     );
 }
 
@@ -486,8 +231,7 @@ fn wire_registry_rule_fires_on_every_gap() {
     );
 }
 
-/// The ISSUE acceptance criterion, proven by mutation on the real
-/// sources: the live wire protocol is clean, and deleting any single
+/// Proven by mutation on the real sources: the live wire protocol is clean, and deleting any single
 /// match arm — a `from_u16` arm, a client disposition arm, or a whole
 /// codec variant — makes `wire-registry` fire.
 #[test]
@@ -560,17 +304,16 @@ fn deleting_a_wire_arm_fails_the_lint() {
 
 /// The ratchet pins must track the live ledger (enforced in full by
 /// `real_workspace_is_clean`). On top of the exact per-rule pins, the
-/// `[ceiling]` section caps the grand total at the pre-dataflow
-/// baseline of eight; the v4 burn-down (the geo axis accessors went
-/// total, trading three `panic-reachability` vets for two
-/// `result-discipline` vets) left the live total below it.
+/// `[ceiling]` section caps the grand total at the one waiver the
+/// retained rules carry (`thread-discipline` at the server's single
+/// spawn site).
 #[test]
 fn ratchet_total_stays_at_or_below_the_ceiling() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("ratchet.toml");
     let src = std::fs::read_to_string(&path).expect("ratchet.toml exists");
     let ratchet = xtask::ratchet::Ratchet::parse(&src).expect("ratchet.toml parses");
     let ceiling = ratchet.ceiling.expect("the grand-total ceiling is pinned");
-    assert_eq!(ceiling, 8, "the ceiling is the pre-dataflow baseline");
+    assert_eq!(ceiling, 1, "the ceiling is the live ledger's single waiver");
     assert!(
         ratchet.total() <= ceiling,
         "live waiver total {} exceeds the ceiling {ceiling}",

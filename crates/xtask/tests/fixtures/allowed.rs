@@ -1,10 +1,10 @@
 //! Fixture for the waiver ledger: one allow that waives a real site,
 //! one stale allow that waives nothing.
 
-pub fn sanctioned(v: &[u8]) -> u8 {
-    // audit: allow(indexing, fixture exercises the waiver path)
-    v[0]
+pub fn sanctioned() {
+    // audit: allow(thread-discipline, fixture exercises the waiver path)
+    std::thread::spawn(|| {});
 }
 
-// audit: allow(panic, stale — this waives nothing)
+// audit: allow(metrics-discipline, stale — this waives nothing)
 pub fn clean() {}

@@ -1,11 +1,12 @@
 //! Known-bad fixture for rule `lock-discipline` (guard liveness):
-//! `let`-bound guards held across backend I/O must fire; dropped,
-//! scoped and temporary guards must stay quiet.
+//! `let`-bound guards held across backend I/O or a pool submission
+//! must fire; dropped, scoped and temporary guards must stay quiet.
 
 pub struct Store {
     units: Lock,
     backend: Backend,
     inner: Backend,
+    pool: ScanExecutor,
 }
 
 impl Store {
@@ -25,6 +26,12 @@ impl Store {
         let g = self.units.write();
         run_scan(self.backend.list()); // fires twice: run_scan and .list()
         g.touch();
+    }
+
+    pub fn bad_hold_across_submit(&self, tasks: Vec<Task>) -> usize {
+        let g = self.units.read();
+        let done = self.pool.execute_all(tasks); // fires: a task may need `units`
+        g.len() + done.len()
     }
 
     pub fn ok_drop_first(&self, key: u32) -> usize {

@@ -139,6 +139,7 @@ impl<T> Union<T> {
 
 impl<T> Strategy for Union<T> {
     type Value = T;
+    #[allow(clippy::unreachable)] // test-support shim; the message states the invariant
     fn generate(&self, rng: &mut TestRng) -> T {
         let i = rng.rng.gen_range(0..self.options.len());
         let opt = self
