@@ -64,6 +64,14 @@ pub struct ShardLeg {
     pub records: usize,
     /// The shard's simulated scan cost, ms.
     pub sim_ms: f64,
+    /// Wall time of this leg, ms: from the coordinator's dispatch of
+    /// the query to the shard's reply being decoded, so it includes
+    /// waiting for a pooled connection and any retries. The slowest
+    /// leg's `wall_ms` is what the gather waited for.
+    pub wall_ms: f64,
+    /// Of that, how long the query waited in the shard server's own
+    /// admission queue, ms (as the shard reported it).
+    pub admission_ms: f64,
     /// Storage units the shard's zone maps skipped.
     pub units_skipped: u64,
     /// Payload bytes the shard never fetched thanks to pruning.
@@ -237,6 +245,7 @@ impl Coordinator {
             self.metrics.fanout_pruned.inc();
         }
         root.note(names::FANOUT, targets.len() as u64);
+        let started = Instant::now();
         let (tx, rx) = std::sync::mpsc::channel::<ShardReply>();
         let mut legs = Vec::with_capacity(targets.len());
         let mut failed = Vec::new();
@@ -252,12 +261,12 @@ impl Coordinator {
                 // this leg, so a remote trace shows the full path:
                 // client → router.query → router.shard → server.request.
                 ctx: leg.context(),
+                dispatched: started,
                 reply: tx.clone(),
             };
-            if let Err(job) = self.pool.submit(shard, job) {
+            if !self.pool.submit(shard, job) {
                 // Workers only exit when the pool is dropped; record
                 // the failure for the gather to consume first.
-                drop(job);
                 failed.push(ShardReply {
                     shard,
                     outcome: Err(crate::pool::ShardFailure {
@@ -266,6 +275,7 @@ impl Coordinator {
                         detail: "shard pool is shut down".to_owned(),
                     }),
                     retries: 0,
+                    wall_ms: 0.0,
                 });
             }
             legs.push((shard, leg));
@@ -275,7 +285,7 @@ impl Coordinator {
             legs,
             rx,
             failed,
-            started: Instant::now(),
+            started,
         }
     }
 
@@ -402,9 +412,7 @@ impl Coordinator {
         let mut shards = Vec::with_capacity(replies.len());
         for reply in &replies {
             if let Ok(r) = &reply.outcome {
-                for i in 0..r.records.len() {
-                    merged.push(r.records.get(i));
-                }
+                merged.extend_from(&r.records);
                 sim_ms += r.sim_ms;
                 makespan_ms = makespan_ms.max(r.makespan_ms);
                 partitions_scanned =
@@ -417,6 +425,8 @@ impl Coordinator {
                     replica: r.replica,
                     records: r.records.len(),
                     sim_ms: r.sim_ms,
+                    wall_ms: reply.wall_ms,
+                    admission_ms: r.admission_ms,
                     units_skipped: r.units_skipped,
                     bytes_skipped: r.bytes_skipped,
                     retries: reply.retries,
@@ -455,7 +465,7 @@ impl Coordinator {
                 band,
                 reply: tx.clone(),
             };
-            if self.pool.submit(shard, job).is_ok() {
+            if self.pool.submit(shard, job) {
                 expected += 1;
             }
         }

@@ -18,7 +18,7 @@
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blot_core::obs::DriftBand;
 use blot_geo::Cuboid;
@@ -81,12 +81,19 @@ pub(crate) struct ShardReply {
     pub outcome: Result<RemoteQueryResult, ShardFailure>,
     /// Retries spent before this outcome.
     pub retries: u32,
+    /// Wall time from the coordinator's dispatch to this outcome being
+    /// decoded by the worker: pool queueing, retries and the shard's
+    /// round trip.
+    pub wall_ms: f64,
 }
 
 pub(crate) enum Job {
     Query {
         range: Cuboid,
         ctx: Option<SpanContext>,
+        /// When the coordinator dispatched the query this leg belongs
+        /// to.
+        dispatched: Instant,
         reply: Sender<ShardReply>,
     },
     Stats {
@@ -140,17 +147,14 @@ impl ShardPool {
         Ok(Self { senders, workers })
     }
 
-    /// Enqueues `job` for `shard`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the job back when the shard id is unknown or its
-    /// workers have exited (pool shut down).
-    pub fn submit(&self, shard: u32, job: Job) -> Result<(), Job> {
-        match self.senders.get(shard as usize) {
-            Some(tx) => tx.send(job).map_err(|e| e.0),
-            None => Err(job),
-        }
+    /// Enqueues `job` for `shard`. `false` (the job is dropped) when
+    /// the shard id is unknown or its workers have exited (pool shut
+    /// down).
+    #[must_use]
+    pub fn submit(&self, shard: u32, job: Job) -> bool {
+        self.senders
+            .get(shard as usize)
+            .is_some_and(|tx| tx.send(job).is_ok())
     }
 
     /// Drops the job channels and joins every worker.
@@ -194,7 +198,12 @@ fn worker_loop(shard: u32, addr: &str, config: &PoolConfig, rx: &Mutex<Receiver<
             return; // pool dropped — drain complete
         };
         match job {
-            Job::Query { range, ctx, reply } => {
+            Job::Query {
+                range,
+                ctx,
+                dispatched,
+                reply,
+            } => {
                 let (outcome, retries) = run_query(&mut client, addr, config, &range, ctx);
                 deliver(
                     &reply,
@@ -202,6 +211,7 @@ fn worker_loop(shard: u32, addr: &str, config: &PoolConfig, rx: &Mutex<Receiver<
                         shard,
                         outcome,
                         retries,
+                        wall_ms: dispatched.elapsed().as_secs_f64() * 1e3,
                     },
                 );
             }

@@ -18,6 +18,9 @@
     clippy::cast_precision_loss
 )]
 
+#[path = "../../server/tests/support/mod.rs"]
+mod support;
+
 use std::io::Read;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -32,6 +35,8 @@ use blot_server::server::{Server, ServerConfig};
 use blot_server::wire::ErrorCode;
 use blot_storage::MemBackend;
 use blot_tracegen::FleetConfig;
+
+use support::{ask, occupy_lanes, wait_until, Latched};
 
 type TestStore = BlotStore<MemBackend>;
 
@@ -133,7 +138,9 @@ fn four_shard_scatter_gather_is_bit_identical_to_single_store() {
     let coordinator = Coordinator::new(map, RouterConfig::default()).unwrap();
 
     for q in probe_queries(&universe, 10) {
+        let asked = Instant::now();
         let dist = coordinator.query(&q).unwrap();
+        let gather_ms = asked.elapsed().as_secs_f64() * 1e3;
         let local = single.query(&q).unwrap();
         assert_eq!(
             dist.records,
@@ -146,6 +153,24 @@ fn four_shard_scatter_gather_is_bit_identical_to_single_store() {
         assert_eq!(dist.shards.len(), 4);
         let leg_sum: usize = dist.shards.iter().map(|l| l.records).sum();
         assert_eq!(leg_sum, dist.records.len());
+        // Each leg's wall time covers the shard's own admission wait,
+        // and the slowest leg fits inside the gather that waited for it.
+        for leg in &dist.shards {
+            assert!(leg.admission_ms >= 0.0);
+            assert!(
+                leg.wall_ms >= leg.admission_ms,
+                "shard {}: wall {} ms < admission {} ms",
+                leg.shard,
+                leg.wall_ms,
+                leg.admission_ms
+            );
+        }
+        let slowest = dist.shards.iter().map(|l| l.wall_ms).fold(0.0, f64::max);
+        assert!(slowest > 0.0);
+        assert!(
+            slowest <= gather_ms,
+            "slowest leg {slowest} ms outlasted the {gather_ms} ms gather"
+        );
     }
 
     // The scatter-gather span tree landed in the coordinator's own
@@ -339,8 +364,9 @@ fn killed_shard_error_propagates_over_the_wire_with_its_hint() {
 fn overloaded_shard_sheds_with_retry_hint_then_recovers() {
     let (data, universe) = fleet();
     let slices = partition(&ShardSpec::OidHash { shards: 2 }, &data);
-    // Shard 0 is ordinary; shard 1 has a one-slot admission queue and a
-    // long linger so one occupying query holds the queue full.
+    // Shard 0 is ordinary; shard 1 has a one-slot admission queue, and
+    // its store parks at a latch so occupants hold both batch lanes and
+    // the slot for as long as the test says.
     let normal = Server::start(
         Arc::new(build_store(&slices[0], universe)),
         "127.0.0.1:0",
@@ -349,15 +375,10 @@ fn overloaded_shard_sheds_with_retry_hint_then_recovers() {
     .unwrap();
     let victim_config = ServerConfig {
         queue_depth: 1,
-        batch_linger: Duration::from_millis(700),
         ..ServerConfig::default()
     };
-    let victim = Server::start(
-        Arc::new(build_store(&slices[1], universe)),
-        "127.0.0.1:0",
-        victim_config,
-    )
-    .unwrap();
+    let victim_store = Latched::holding(Arc::new(build_store(&slices[1], universe)), 2);
+    let victim = Server::start(Arc::clone(&victim_store), "127.0.0.1:0", victim_config).unwrap();
     let victim_addr = victim.local_addr().to_string();
     let map = ShardMap::new(
         1,
@@ -375,15 +396,11 @@ fn overloaded_shard_sheds_with_retry_hint_then_recovers() {
     let coordinator = Coordinator::new(map, config).unwrap();
     let q = probe_queries(&universe, 1)[0];
 
-    // Occupy the victim's only queue slot for the linger duration.
-    let occupier = {
-        let addr = victim_addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).unwrap();
-            c.query(&q).unwrap();
-        })
-    };
-    std::thread::sleep(Duration::from_millis(150));
+    // Occupy the victim: a batch parked in each lane, then its only
+    // queue slot.
+    let mut occupiers = occupy_lanes(&victim_store, &victim_addr, q);
+    occupiers.push(ask(&victim_addr, q));
+    wait_until("the victim's queue slot is taken", || victim.queued() == 1);
 
     let err = coordinator.query(&q).unwrap_err();
     match &err {
@@ -400,9 +417,12 @@ fn overloaded_shard_sheds_with_retry_hint_then_recovers() {
         }
         other => panic!("expected ShardUnavailable, got {other}"),
     }
-    occupier.join().unwrap();
+    victim_store.open();
+    for occupier in occupiers {
+        assert!(occupier.join().unwrap() > 0);
+    }
 
-    // Once the linger drains, the same query succeeds end to end.
+    // Once the lanes move again, the same query succeeds end to end.
     let dist = coordinator.query(&q).unwrap();
     assert_eq!(dist.records, sorted(&data.filter_range(&q)));
 

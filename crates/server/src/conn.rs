@@ -3,8 +3,8 @@
 //! This file is the only place in the workspace's serving layer that
 //! creates OS threads (the `thread-discipline` audit waives exactly
 //! these sites): one accept-loop thread, a fixed pool of connection
-//! handlers, and the batcher. All *scan* parallelism still runs on the
-//! shared [`blot_storage::ScanExecutor`], reached through
+//! handlers, and the two batch lanes. All *scan* parallelism still runs
+//! on the shared [`blot_storage::ScanExecutor`], reached through
 //! [`QueryService::query_batch_traced`].
 //!
 //! Connection lifecycle: the accept loop admits a socket if the open-
@@ -50,7 +50,7 @@ pub(crate) fn spawn_named(
     name: &str,
     f: impl FnOnce() + Send + 'static,
 ) -> std::io::Result<JoinHandle<()>> {
-    // audit: allow(thread-discipline, serving-layer accept/handler/batcher threads are long-lived I/O loops, not unit-scan work; scans still run on the shared ScanExecutor)
+    // audit: allow(thread-discipline, serving-layer accept/handler/batch-lane threads are long-lived I/O loops, not unit-scan work; scans still run on the shared ScanExecutor)
     std::thread::Builder::new()
         .name(format!("blot-server-{name}"))
         .spawn(f)
@@ -398,8 +398,8 @@ fn handle_frame<S: QueryService + ?Sized>(frame: &Frame, ctx: &ConnContext<S>) -
                 None => recorder.span(names::SERVER_REQUEST),
             };
             let trace_ctx = root.context();
-            // The admission span is finished by the batcher at drain
-            // time, so its duration is exactly the queue wait.
+            // The admission span is finished by the lane that drains
+            // the query, so its duration is exactly the queue wait.
             let admission = trace_ctx
                 .is_some()
                 .then(|| root.child(names::SERVER_ADMISSION));
@@ -460,7 +460,7 @@ fn handle_frame<S: QueryService + ?Sized>(frame: &Frame, ctx: &ConnContext<S>) -
                         error_response(
                             ErrorCode::Internal,
                             0,
-                            "request timed out in the batcher".to_owned(),
+                            "request timed out waiting for its batch".to_owned(),
                         ),
                         true,
                     ),

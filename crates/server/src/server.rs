@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use blot_core::prelude::*;
 use blot_obs::{MetricsRegistry, ServerMetrics, Snapshot};
 
-use crate::batch::{run_batcher, AdmissionQueue};
+use crate::batch::{run_lane, AdmissionQueue, LANES};
 use crate::conn::{accept_loop, handler_loop, spawn_named, ConnContext, ConnQueue};
 use crate::shutdown::ShutdownFlag;
 
@@ -23,12 +23,14 @@ pub struct ServerConfig {
     /// Connection-handler threads (each serves one connection at a
     /// time).
     pub handlers: usize,
-    /// Admission-queue capacity: queries waiting for the batcher.
+    /// Admission-queue capacity: queries waiting for a batch lane.
     pub queue_depth: usize,
     /// Most queries coalesced into one pooled round.
     pub max_batch: usize,
-    /// How long the batcher lingers for stragglers once a query is
-    /// queued.
+    /// How long an executing batch may hold the queue before a second
+    /// lane drains beside it, and how long a query waits for company
+    /// while callers overlap (see [`crate::batch`]). Never a wait on an
+    /// idle server or for a lone caller: those are dispatched at once.
     pub batch_linger: Duration,
     /// Close connections idle longer than this.
     pub idle_timeout: Duration,
@@ -38,7 +40,7 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// Slow-query threshold in simulated milliseconds; queries whose
     /// measured cost exceeds it land in the store's slow-query log,
-    /// which the batcher drains to stderr. `0.0` disables the log.
+    /// which the batch lanes drain to stderr. `0.0` disables the log.
     pub slow_query_ms: f64,
 }
 
@@ -102,8 +104,8 @@ const _: () = {
 /// What graceful shutdown accomplished.
 #[derive(Debug)]
 pub struct ShutdownReport {
-    /// Every service thread (accept, handlers, batcher) joined within
-    /// the timeout.
+    /// Every service thread (accept, handlers, batch lanes) joined
+    /// within the timeout.
     pub threads_joined: bool,
     /// The scan-executor pool drained its queue and joined its workers.
     pub pool_drained: bool,
@@ -168,14 +170,16 @@ impl Server {
             active: Arc::new(AtomicUsize::new(0)),
         };
 
-        let mut threads = Vec::with_capacity(config.handlers + 2);
+        let mut threads = Vec::with_capacity(config.handlers + LANES + 1);
         let spawn_err = |what, source| ServerError::Spawn { what, source };
-        {
+        for i in 0..LANES {
             let ctx = ctx.clone();
             let queue = Arc::clone(&queue);
             threads.push(
-                spawn_named("batcher", move || run_batcher(ctx.service.as_ref(), &queue))
-                    .map_err(|e| spawn_err("batcher", e))?,
+                spawn_named(&format!("lane-{i}"), move || {
+                    run_lane(ctx.service.as_ref(), &queue);
+                })
+                .map_err(|e| spawn_err("batch lane", e))?,
             );
         }
         for i in 0..config.handlers.max(1) {
@@ -224,6 +228,14 @@ impl Server {
         &self.registry
     }
 
+    /// Queries admitted and waiting for a batch lane right now. Unlike
+    /// the `server.queue_depth` gauge it reads the queue itself, so it
+    /// also works with `blot-obs/off`.
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.queue.depth()
+    }
+
     /// Graceful shutdown: stop accepting, drain in-flight requests,
     /// join service threads, drain the scan pool, flush metrics.
     ///
@@ -232,9 +244,9 @@ impl Server {
     #[must_use]
     pub fn shutdown(mut self, timeout: Duration) -> ShutdownReport {
         let deadline = Instant::now() + timeout;
-        // 1. Stop accepting and admitting. The batcher drains what is
-        //    already queued before exiting; handlers answer in-flight
-        //    requests, then see the flag.
+        // 1. Stop accepting and admitting. The batch lanes drain what
+        //    is already queued before exiting; handlers answer
+        //    in-flight requests, then see the flag.
         self.flag.trigger();
         self.queue.close();
         self.connq.close();

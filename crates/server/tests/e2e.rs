@@ -2,6 +2,10 @@
 //! clients, asserting remote results are bit-identical to in-process
 //! ones, overload is shed with `Overloaded` (never a hang or a silent
 //! drop), and graceful shutdown drains in-flight work.
+//!
+//! An idle server dispatches at once, so the tests that need queries
+//! to sit in the queue hold the batch lanes at a latch
+//! (`support::Latched`) instead of waiting out a timer.
 
 #![allow(
     clippy::unwrap_used,
@@ -10,6 +14,8 @@
     clippy::indexing_slicing,
     clippy::cast_precision_loss
 )]
+
+mod support;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,6 +29,8 @@ use blot_server::server::{Server, ServerConfig};
 use blot_server::wire::{self, ErrorCode, Response};
 use blot_storage::MemBackend;
 use blot_tracegen::FleetConfig;
+
+use support::{ask, occupy_lanes, wait_until, Latched, PATIENCE};
 
 type TestStore = BlotStore<MemBackend>;
 
@@ -114,37 +122,51 @@ fn concurrent_remote_queries_are_bit_identical_to_in_process() {
 #[test]
 fn burst_over_queue_depth_is_shed_with_overloaded() {
     let (store, _) = build_store();
-    let store = Arc::new(store);
+    let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
         queue_depth: 2,
-        // A long linger holds admitted queries in the queue, making the
-        // overload window deterministic for the burst below.
-        batch_linger: Duration::from_millis(300),
         ..ServerConfig::default()
     };
-    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
-    let q = probe_queries(&store.universe(), 1)[0];
+    let q = probe_queries(&service.universe(), 1)[0];
 
+    // Park a batch in each lane, so whatever the burst gets admitted
+    // stays queued: the overload window is deterministic.
+    let occupants = occupy_lanes(&service, &addr, q);
+
+    let (tx, rx) = std::sync::mpsc::channel();
     let burst: Vec<_> = (0..8)
         .map(|_| {
-            let addr = addr.clone();
+            let (addr, tx) = (addr.clone(), tx.clone());
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
                 // Single shot, no retry: each attempt must get *some*
                 // structured answer within the timeout.
-                client.query_once(&q).unwrap()
+                tx.send(client.query_once(&q).unwrap()).unwrap();
             })
         })
         .collect();
-    let outcomes: Vec<_> = burst.into_iter().map(|h| h.join().unwrap()).collect();
+    // Two fit in the queue; the other six are answered at once, while
+    // both lanes are still parked.
+    let mut outcomes: Vec<_> = (0..6).map(|_| rx.recv_timeout(PATIENCE).unwrap()).collect();
+    assert_eq!(server.queued(), 2);
+    service.open();
+    outcomes.extend((0..2).map(|_| rx.recv_timeout(PATIENCE).unwrap()));
+    for h in burst {
+        h.join().unwrap();
+    }
+    for h in occupants {
+        assert!(h.join().unwrap() > 0);
+    }
 
     let succeeded = outcomes.iter().filter(|o| o.is_ok()).count();
     let shed: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
     assert_eq!(succeeded + shed.len(), 8, "every request must be answered");
-    assert!(
-        !shed.is_empty(),
-        "a burst of 8 against queue depth 2 must shed at least one query"
+    assert_eq!(
+        shed.len(),
+        6,
+        "a burst of 8 against queue depth 2 with both lanes busy sheds exactly 6"
     );
     for e in &shed {
         assert_eq!(e.code, ErrorCode::Overloaded);
@@ -152,77 +174,90 @@ fn burst_over_queue_depth_is_shed_with_overloaded() {
     }
 
     let report = server.shutdown(Duration::from_secs(10));
-    let shed_count = report.snapshot.counter("server.shed").unwrap_or(0);
-    assert!(shed_count >= shed.len() as u64);
+    if blot_obs::enabled() {
+        assert_eq!(report.snapshot.counter("server.shed"), Some(6));
+    }
 }
 
 #[test]
 fn client_retry_with_backoff_survives_overload() {
     let (store, _) = build_store();
-    let store = Arc::new(store);
+    let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
         queue_depth: 1,
-        batch_linger: Duration::from_millis(250),
         ..ServerConfig::default()
     };
-    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
-    let q = probe_queries(&store.universe(), 1)[0];
+    let q = probe_queries(&service.universe(), 1)[0];
 
-    // Occupy the queue: this query lingers ~250 ms before its batch.
-    let occupant = {
+    // Occupy both lanes and the queue's one slot.
+    let mut occupants = occupy_lanes(&service, &addr, q);
+    occupants.push(ask(&addr, q));
+    wait_until("the third occupant is queued", || server.queued() == 1);
+
+    // The retrying client is shed at least once, then admitted once
+    // the lanes move again.
+    let retrying = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).unwrap();
-            client.query(&q).unwrap()
+            let mut client = Client::connect_with(
+                &addr,
+                ClientConfig {
+                    max_retries: 20,
+                    ..ClientConfig::default()
+                },
+            )
+            .unwrap();
+            let result = client.query(&q).unwrap();
+            (result.records.len(), client.retries())
         })
     };
-    std::thread::sleep(Duration::from_millis(60));
-    // The retrying client is shed at least once, then admitted.
-    let mut client = Client::connect_with(
-        &addr,
-        ClientConfig {
-            max_retries: 20,
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-    let result = client.query(&q).unwrap();
-    assert!(!result.records.is_empty());
+    if blot_obs::enabled() {
+        wait_until("the retrying client has been shed", || {
+            server.registry().snapshot().counter("server.shed") > Some(0)
+        });
+    } else {
+        // No counter to watch: give the first attempt time to land.
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    service.open();
+    let (records, retries) = retrying.join().unwrap();
+    assert!(records > 0);
     assert!(
-        client.retries() > 0,
+        retries > 0,
         "the second client must have been shed and retried"
     );
-    occupant.join().unwrap();
+    for h in occupants {
+        assert!(h.join().unwrap() > 0);
+    }
     let _ = server.shutdown(Duration::from_secs(10));
 }
 
 #[test]
 fn graceful_shutdown_answers_in_flight_queries() {
     let (store, _) = build_store();
-    let store = Arc::new(store);
+    let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
-        batch_linger: Duration::from_millis(200),
+        // One query a batch, so two of the four below stay queued.
+        max_batch: 1,
         ..ServerConfig::default()
     };
-    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
-    let universe = store.universe();
 
-    // Four queries land in the admission queue and sit in the linger
-    // window when shutdown begins; all must still be answered.
-    let in_flight: Vec<_> = probe_queries(&universe, 4)
+    // Two queries are executing and two sit in the admission queue when
+    // shutdown begins; all four must still be answered.
+    let in_flight: Vec<_> = probe_queries(&service.universe(), 4)
         .into_iter()
-        .map(|q| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).unwrap();
-                client.query(&q).map(|r| r.records.len()).unwrap()
-            })
-        })
+        .map(|q| ask(&addr, q))
         .collect();
-    std::thread::sleep(Duration::from_millis(80));
+    service.wait_held(2);
+    wait_until("two queries are queued", || server.queued() == 2);
+    let flag = server.shutdown_flag();
+    let opener = service.open_once(move || flag.is_triggered());
     let report = server.shutdown(Duration::from_secs(10));
+    opener.join().unwrap();
     for h in in_flight {
         let n = h.join().unwrap();
         assert!(n > 0, "in-flight queries must be answered during drain");
@@ -237,6 +272,34 @@ fn graceful_shutdown_answers_in_flight_queries() {
             c.ping().is_err()
         }
     );
+}
+
+#[test]
+fn a_request_timeout_expiry_is_answered_with_a_structured_error() {
+    let (store, _) = build_store();
+    let service = Latched::holding(Arc::new(store), 1);
+    let config = ServerConfig {
+        request_timeout: Duration::from_millis(50),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let q = probe_queries(&service.universe(), 1)[0];
+
+    // The query's batch is parked past the handler's patience: the
+    // client still gets an answer, and the connection stays usable.
+    let timed_out = client.query_once(&q).unwrap().unwrap_err();
+    assert_eq!(timed_out.code, ErrorCode::Internal);
+    assert!(
+        timed_out.message.contains("timed out"),
+        "{}",
+        timed_out.message
+    );
+    client.ping().unwrap();
+
+    service.open();
+    let report = server.shutdown(Duration::from_secs(10));
+    assert!(report.threads_joined);
 }
 
 #[test]
@@ -351,16 +414,20 @@ fn interleaved_traced_queries_never_cross_contaminate_span_trees() {
     }
     let (store, _) = build_store();
     let store = Arc::new(store);
+    let service = Latched::holding(Arc::clone(&store), 1);
     let config = ServerConfig {
-        // A linger window wide enough that concurrent queries coalesce
-        // into shared batch rounds — the cross-contamination hazard.
-        batch_linger: Duration::from_millis(100),
+        // With one batch parked and a linger nobody outlives, the four
+        // traced queries below coalesce into ONE shared batch round —
+        // the cross-contamination hazard.
+        batch_linger: Duration::from_secs(3600),
         ..ServerConfig::default()
     };
-    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
     let universe = store.universe();
 
+    let occupant = ask(&addr, probe_queries(&universe, 1)[0]);
+    service.wait_held(1);
     let contexts: Vec<SpanContext> = (0..4).map(|_| SpanContext::fresh()).collect();
     let workers: Vec<_> = contexts
         .iter()
@@ -374,9 +441,17 @@ fn interleaved_traced_queries_never_cross_contaminate_span_trees() {
             })
         })
         .collect();
+    wait_until("the four traced queries are queued", || {
+        server.queued() == 4
+    });
+    service.open();
     for w in workers {
-        assert!(!w.join().unwrap().records.is_empty());
+        let reply = w.join().unwrap();
+        assert!(!reply.records.is_empty());
+        assert!(reply.admission_ms > 0.0, "the query waited in the queue");
     }
+    assert!(occupant.join().unwrap() > 0);
+    assert_eq!(service.rounds().len(), 2, "the four shared one batch round");
 
     let records = store.recorder().snapshot();
     for ctx in &contexts {
@@ -401,6 +476,28 @@ fn interleaved_traced_queries_never_cross_contaminate_span_trees() {
                 );
             }
         }
+        // The admission span's duration is the queue wait, and the
+        // batch span says how many shared the round.
+        let admission = of_trace
+            .iter()
+            .find(|r| r.name == names::SERVER_ADMISSION)
+            .expect("each trace has its admission span");
+        let queue_us = admission
+            .notes()
+            .iter()
+            .find(|(k, _)| *k == names::QUEUE_US)
+            .map(|(_, v)| *v)
+            .expect("the admission span notes its queue wait");
+        assert!(queue_us > 0);
+        assert!(
+            admission.dur_us >= queue_us,
+            "the admission span covers the queue wait"
+        );
+        let batch = of_trace
+            .iter()
+            .find(|r| r.name == names::SERVER_BATCH)
+            .expect("each trace has its batch span");
+        assert!(batch.notes().contains(&(names::BATCH_SIZE, 4)));
     }
 
     let _ = server.shutdown(Duration::from_secs(10));

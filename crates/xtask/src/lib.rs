@@ -53,7 +53,7 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["storage", "core"];
 /// Crates that must run all parallel work on the shared scan-executor
 /// pool instead of spawning ad-hoc OS threads (rule `thread-discipline`).
 /// The pool's own implementation file is exempt, and `server`'s
-/// long-lived accept/handler/batcher threads carry a waiver at their
+/// long-lived accept/handler/batch-lane threads carry a waiver at their
 /// single spawn site (`conn.rs::spawn_named`). `router`'s shard
 /// connection workers are long-lived I/O threads, deliberately kept in
 /// its `pool.rs` so they fall under the pool-file exemption.

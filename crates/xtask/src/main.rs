@@ -165,16 +165,18 @@ fn fuzz(args: &[String]) -> ExitCode {
 
 fn metrics_overhead() -> Result<bool, String> {
     let probe = xtask::overhead::check(&workspace_root()?)?;
-    println!(
-        "metrics overhead: instrumented {:.2} ms vs compiled-out {:.2} ms \
-         (median of {} alternating runs each; ratio {:.3}, budget {:.2}, {} spans recorded)",
-        probe.enabled_min_ms,
-        probe.disabled_min_ms,
-        xtask::overhead::PAIRS,
-        probe.ratio,
-        xtask::overhead::MAX_RATIO,
-        probe.enabled_spans
-    );
+    for (name, phase) in [("in-process", probe.in_process), ("served", probe.served)] {
+        println!(
+            "metrics overhead ({name}): instrumented {:.2} ms vs compiled-out {:.2} ms \
+             (median of {} alternating runs each; ratio {:.3}, budget {:.2})",
+            phase.enabled_min_ms,
+            phase.disabled_min_ms,
+            xtask::overhead::PAIRS,
+            phase.ratio(),
+            xtask::overhead::MAX_RATIO,
+        );
+    }
+    println!("{} spans recorded", probe.enabled_spans);
     if !probe.within_budget() {
         eprintln!("error: instrumentation exceeds the overhead budget");
     }
