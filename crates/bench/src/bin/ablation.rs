@@ -5,9 +5,7 @@
 //! 2. greedy warm-starting — branch & bound nodes with and without the
 //!    incumbent seed;
 //! 3. the Equation 11 grouped-query estimator — analytic expected
-//!    involvement vs Monte-Carlo ground truth;
-//! 4. partial replication (the paper's future work) — workload cost
-//!    with and without partial candidates across budgets.
+//!    involvement vs Monte-Carlo ground truth.
 //!
 //! ```sh
 //! cargo run --release -p blot-bench --bin ablation
@@ -28,7 +26,6 @@
 use blot_bench::{Context, Scale};
 use blot_codec::EncodingScheme;
 use blot_core::cost::CostModel;
-use blot_core::partial::{estimate_matrix, HotGroupedQuery, PartialCandidate};
 use blot_core::prelude::*;
 use blot_core::select::{build_selection_problem, prune_dominated, select_greedy, select_mip};
 use blot_index::PartitioningScheme;
@@ -43,7 +40,6 @@ fn main() {
     ablate_pruning(&ctx);
     ablate_warm_start(&ctx);
     ablate_eq11(&ctx);
-    ablate_partial(&ctx);
 }
 
 fn paper_matrix(ctx: &Context) -> CostMatrix {
@@ -208,132 +204,4 @@ fn ablate_eq11(ctx: &Context) {
         );
     }
     println!("  worst relative error: {worst:.3}\n");
-}
-
-fn ablate_partial(ctx: &Context) {
-    println!("== ablation 4: partial replication (paper future work, §VII) ==");
-    // The hot region: the densest cell of a coarse 4×4 spatial grid over
-    // busy hours — small enough that a partial replica is much cheaper
-    // than a full one.
-    let u = ctx.universe;
-    let (mut bx, mut by, mut best) = (0, 0, 0usize);
-    for gx in 0..4 {
-        for gy in 0..4 {
-            let cell = Cuboid::new(
-                Point::new(
-                    u.min().x + u.extent(0) * f64::from(gx) / 4.0,
-                    u.min().y + u.extent(1) * f64::from(gy) / 4.0,
-                    u.min().t,
-                ),
-                Point::new(
-                    u.min().x + u.extent(0) * f64::from(gx + 1) / 4.0,
-                    u.min().y + u.extent(1) * f64::from(gy + 1) / 4.0,
-                    u.max().t,
-                ),
-            );
-            let n = ctx.sample.count_in_range(&cell);
-            if n > best {
-                best = n;
-                bx = gx;
-                by = gy;
-            }
-        }
-    }
-    let region = Cuboid::new(
-        Point::new(
-            u.min().x + u.extent(0) * f64::from(bx) / 4.0,
-            u.min().y + u.extent(1) * f64::from(by) / 4.0,
-            u.min().t,
-        ),
-        Point::new(
-            u.min().x + u.extent(0) * f64::from(bx + 1) / 4.0,
-            u.min().y + u.extent(1) * f64::from(by + 1) / 4.0,
-            u.min().t + u.extent(2) * 0.5,
-        ),
-    );
-    let shrunk = Cuboid::new(
-        Point::new(
-            region.min().x + region.extent(0) * 0.2,
-            region.min().y + region.extent(1) * 0.2,
-            region.min().t + region.extent(2) * 0.1,
-        ),
-        Point::new(
-            region.max().x - region.extent(0) * 0.2,
-            region.max().y - region.extent(1) * 0.2,
-            region.max().t - region.extent(2) * 0.1,
-        ),
-    );
-    let workload = vec![
-        HotGroupedQuery {
-            size: QuerySize::new(0.05, 0.05, u.extent(2) / 64.0),
-            centroid_region: shrunk,
-            weight: 200.0,
-        },
-        HotGroupedQuery {
-            size: QuerySize::new(0.15, 0.15, u.extent(2) / 32.0),
-            centroid_region: shrunk,
-            weight: 50.0,
-        },
-        HotGroupedQuery {
-            size: QuerySize::new(u.extent(0) / 2.0, u.extent(1) / 2.0, u.extent(2) / 2.0),
-            centroid_region: u,
-            weight: 1.0,
-        },
-    ];
-    let configs = ReplicaConfig::grid(
-        &[
-            blot_index::SchemeSpec::new(4, 2),
-            blot_index::SchemeSpec::new(16, 8),
-            blot_index::SchemeSpec::new(64, 16),
-        ],
-        &EncodingScheme::all(),
-    );
-    let full_only: Vec<PartialCandidate> =
-        configs.iter().map(|&c| PartialCandidate::full(c)).collect();
-    let mut extended = full_only.clone();
-    extended.extend(
-        configs
-            .iter()
-            .map(|&c| PartialCandidate::partial(c, region)),
-    );
-
-    // Run at the 370 GB point of the Figure 6 sweep: partial replication
-    // is a *big-data* lever — at sample scale ExtraTime dominates and no
-    // layout choice matters (exactly as Figure 6a shows).
-    let records = ctx.dataset_records * 100.0;
-    let m_full = estimate_matrix(
-        &ctx.cloud_model,
-        &workload,
-        &full_only,
-        &ctx.sample,
-        u,
-        records,
-    );
-    let m_ext = estimate_matrix(
-        &ctx.cloud_model,
-        &workload,
-        &extended,
-        &ctx.sample,
-        u,
-        records,
-    );
-    let hot_frac = ctx.sample.count_in_range(&region) as f64 / ctx.sample.len() as f64;
-    println!("  hot region holds {:.0}% of the records", hot_frac * 100.0);
-    let reference = m_full.cheapest_storage();
-    println!("  budget  full-only cost   with-partials cost   gain");
-    let solver = MipSolver::default();
-    for rel in [1.2, 1.5, 2.0, 3.0] {
-        let budget = reference * rel;
-        let a = select_mip(&m_full, budget, &solver)
-            .expect("full-only")
-            .workload_cost;
-        let b = select_mip(&m_ext, budget, &solver)
-            .expect("extended")
-            .workload_cost;
-        println!(
-            "  {rel:>5.1}x {a:>16.3e} {b:>20.3e} {:>6.1}%",
-            (1.0 - b / a) * 100.0
-        );
-    }
-    println!();
 }

@@ -665,104 +665,147 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Converts the server's span-JSON array into Chrome `trace_event`
-/// JSON client-side: the wire carries one canonical span shape, and
+/// One span of the canonical span-JSON array: what
+/// `blot_obs::trace::records_to_json` writes and the server's `Trace`
+/// reply carries. The wire and the local recorder share that one shape;
 /// presentation (Chrome, text) is the CLI's job.
-fn trace_json_to_chrome(doc: &Json) -> Result<String, String> {
+struct SpanView<'a> {
+    trace: &'a str,
+    span: &'a str,
+    parent: Option<&'a str>,
+    name: &'a str,
+    start_us: u64,
+    dur_us: u64,
+    sim_ms: f64,
+    notes: &'a [(String, Json)],
+}
+
+fn span_views(doc: &Json) -> Result<Vec<SpanView<'_>>, String> {
     let items = doc
         .as_array()
-        .ok_or_else(|| "trace reply is not a JSON array".to_owned())?;
+        .ok_or_else(|| "trace document is not a JSON array".to_owned())?;
+    Ok(items
+        .iter()
+        .map(|item| {
+            let text = |key| item.get(key).and_then(Json::as_str);
+            let count = |key| item.get(key).and_then(Json::as_u64).unwrap_or(0);
+            SpanView {
+                trace: text("trace").unwrap_or("?"),
+                span: text("span").unwrap_or("?"),
+                parent: text("parent"),
+                name: text("name").unwrap_or("?"),
+                start_us: count("start_us"),
+                dur_us: count("dur_us"),
+                sim_ms: item.get("sim_ms").and_then(Json::as_f64).unwrap_or(0.0),
+                notes: match item.get("notes") {
+                    Some(Json::Obj(notes)) => notes,
+                    _ => &[],
+                },
+            }
+        })
+        .collect())
+}
+
+/// Renders a span-JSON array as Chrome `trace_event` JSON (an array of
+/// `ph:"X"` complete events), loadable in `chrome://tracing` or
+/// Perfetto. Each trace gets its own `tid` lane so concurrent queries do
+/// not overlap; a span's notes and simulated cost go into `args`.
+fn trace_json_to_chrome(doc: &Json) -> Result<String, String> {
     let mut lanes: Vec<&str> = Vec::new();
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        let trace = item.get("trace").and_then(Json::as_str).unwrap_or("?");
-        let tid = match lanes.iter().position(|t| *t == trace) {
+    let mut events = Vec::new();
+    for view in span_views(doc)? {
+        let tid = match lanes.iter().position(|t| *t == view.trace) {
             Some(p) => p + 1,
             None => {
-                lanes.push(trace);
+                lanes.push(view.trace);
                 lanes.len()
             }
         };
-        if i > 0 {
-            out.push(',');
+        let mut args = vec![
+            ("trace".to_owned(), Json::Str(view.trace.to_owned())),
+            ("span".to_owned(), Json::Str(view.span.to_owned())),
+        ];
+        args.extend(view.notes.iter().cloned());
+        if view.sim_ms > 0.0 {
+            args.push(("sim_ms".to_owned(), Json::Num(view.sim_ms)));
         }
-        let name = item.get("name").and_then(Json::as_str).unwrap_or("?");
-        let ts = item.get("start_us").and_then(Json::as_u64).unwrap_or(0);
-        let dur = item.get("dur_us").and_then(Json::as_u64).unwrap_or(0);
-        let span = item.get("span").and_then(Json::as_str).unwrap_or("?");
-        out.push_str(&format!(
-            "{{\"name\":\"{name}\",\"cat\":\"blot\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-             \"ts\":{ts},\"dur\":{dur},\"args\":{{\"trace\":\"{trace}\",\"span\":\"{span}\"}}}}"
-        ));
+        #[allow(clippy::cast_precision_loss)]
+        events.push(Json::obj([
+            ("name", Json::Str(view.name.to_owned())),
+            ("cat", Json::Str("blot".to_owned())),
+            ("ph", Json::Str("X".to_owned())),
+            ("pid", Json::Num(1.0)),
+            ("tid", Json::Num(tid as f64)),
+            ("ts", Json::Num(view.start_us as f64)),
+            ("dur", Json::Num(view.dur_us as f64)),
+            ("args", Json::Obj(args)),
+        ]));
     }
-    out.push(']');
-    Ok(out)
+    Ok(Json::Arr(events).to_string())
 }
 
-/// Renders the server's span-JSON array as a per-trace text listing.
-fn trace_json_to_text(doc: &Json) -> String {
-    let items = doc.as_array().unwrap_or(&[]);
-    if items.is_empty() {
-        return "(no spans recorded)".to_owned();
-    }
-    let trace_of = |item: &Json| -> String {
-        item.get("trace")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned()
-    };
-    let mut traces: Vec<String> = Vec::new();
-    for item in items {
-        let t = trace_of(item);
-        if !traces.contains(&t) {
-            traces.push(t);
+/// Renders a span-JSON array as an indented per-trace tree for
+/// terminals: every span below its parent, siblings by start time.
+fn trace_json_to_text(doc: &Json) -> Result<String, String> {
+    let views = span_views(doc)?;
+    let mut traces: Vec<&str> = Vec::new();
+    for view in &views {
+        if !traces.contains(&view.trace) {
+            traces.push(view.trace);
         }
     }
     let mut out = String::new();
-    for t in traces {
-        out.push_str(&format!("trace {t}:\n"));
-        for item in items.iter().filter(|i| trace_of(i) == t) {
-            let name = item.get("name").and_then(Json::as_str).unwrap_or("?");
-            let dur_ms = item.get("dur_us").and_then(Json::as_f64).unwrap_or(0.0) / 1e3;
-            out.push_str(&format!("  {name:<16} {dur_ms:>9.3} ms"));
-            if let Some(Json::Obj(notes)) = item.get("notes") {
-                for (k, v) in notes {
-                    out.push_str(&format!("  {k}={v}"));
+    for trace in traces {
+        out.push_str(&format!("trace {trace}:\n"));
+        let mut of_trace: Vec<&SpanView<'_>> = views.iter().filter(|v| v.trace == trace).collect();
+        of_trace.sort_by_key(|v| v.start_us);
+        // A span's path is its ancestors' positions, root first, found by
+        // walking parent links within the document; sorting the paths
+        // gives tree order. A parent evicted from the ring leaves its
+        // children as roots, and the length cap ends a forged cycle.
+        let mut paths: Vec<Vec<usize>> = (0..of_trace.len())
+            .map(|leaf| {
+                let mut path = vec![leaf];
+                let mut at = of_trace.get(leaf).and_then(|v| v.parent);
+                while let Some(up) = at.and_then(|p| of_trace.iter().position(|v| v.span == p)) {
+                    if path.len() > 16 {
+                        break;
+                    }
+                    path.push(up);
+                    at = of_trace.get(up).and_then(|v| v.parent);
                 }
+                path.reverse();
+                path
+            })
+            .collect();
+        paths.sort();
+        for path in &paths {
+            let Some(view) = path.last().and_then(|&i| of_trace.get(i)) else {
+                continue;
+            };
+            let indent = "  ".repeat(path.len());
+            #[allow(clippy::cast_precision_loss)]
+            let dur_ms = view.dur_us as f64 / 1e3;
+            out.push_str(&format!("{indent}{:<16} {dur_ms:>9.3} ms", view.name));
+            if view.sim_ms > 0.0 {
+                out.push_str(&format!("  sim {:.1} ms", view.sim_ms));
+            }
+            for (k, v) in view.notes {
+                out.push_str(&format!("  {k}={v}"));
             }
             out.push('\n');
         }
     }
-    out
+    if out.is_empty() {
+        out.push_str("(no spans recorded)\n");
+    }
+    Ok(out)
 }
 
-/// `blot trace`: dump a flight-recorder span tree. Remotely it fetches
-/// the serving store's recorder over the wire; locally it replays a
-/// deterministic probe workload with tracing on and dumps the spans it
-/// produced. `--slow MS` keeps only traces with a span at least that
-/// slow, `--last N` the N most recent traces; `--json` emits the raw
-/// span array, `--chrome` Chrome `trace_event` JSON for
-/// `chrome://tracing` / Perfetto.
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let slow_ms = args.get_parsed::<f64>("slow")?.unwrap_or(0.0);
-    let last = args.get_parsed::<u32>("last")?.unwrap_or(0);
-    if let Some(addr) = args.get("remote") {
-        let mut client =
-            blot_server::Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-        let json = client.trace(slow_ms, last).map_err(|e| e.to_string())?;
-        if args.has("chrome") {
-            let doc =
-                Json::parse(&json).map_err(|e| format!("server sent invalid trace JSON: {e}"))?;
-            pipe_println(&trace_json_to_chrome(&doc)?);
-        } else if args.has("json") {
-            pipe_println(&json);
-        } else {
-            let doc =
-                Json::parse(&json).map_err(|e| format!("server sent invalid trace JSON: {e}"))?;
-            pipe_println(trace_json_to_text(&doc).trim_end());
-        }
-        return Ok(());
-    }
+/// The local half of `blot trace`: replays a deterministic probe
+/// workload with tracing on and returns the spans it produced, as the
+/// same span-JSON array a server's `Trace` reply carries.
+fn probe_trace_json(args: &Args, slow_ms: f64, last: u32) -> Result<String, String> {
     let store = open_store(args)?;
     if !blot_obs::enabled() {
         return Err("tracing is compiled out (blot-obs `off` feature)".into());
@@ -789,12 +832,33 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let records = blot_obs::trace::filter_slow(&records, slow_ms);
     let records =
         blot_obs::trace::filter_last(&records, usize::try_from(last).unwrap_or(usize::MAX));
-    let rendered = if args.has("chrome") {
-        blot_obs::trace::records_to_chrome(&records)
-    } else if args.has("json") {
-        blot_obs::trace::records_to_json(&records)
+    Ok(blot_obs::trace::records_to_json(&records))
+}
+
+/// `blot trace`: dump a flight-recorder span tree. Remotely it fetches
+/// the serving store's recorder over the wire; locally it replays a
+/// probe workload (see [`probe_trace_json`]). Both hand the one renderer
+/// pair the same span-JSON shape. `--slow MS` keeps only traces with a
+/// span at least that slow, `--last N` the N most recent traces;
+/// `--json` emits the raw span array, `--chrome` Chrome `trace_event`
+/// JSON for `chrome://tracing` / Perfetto.
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let slow_ms = args.get_parsed::<f64>("slow")?.unwrap_or(0.0);
+    let last = args.get_parsed::<u32>("last")?.unwrap_or(0);
+    let json = if let Some(addr) = args.get("remote") {
+        let mut client =
+            blot_server::Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
+        client.trace(slow_ms, last).map_err(|e| e.to_string())?
     } else {
-        blot_obs::trace::records_to_text(&records)
+        probe_trace_json(args, slow_ms, last)?
+    };
+    let parsed = || Json::parse(&json).map_err(|e| format!("invalid trace JSON: {e}"));
+    let rendered = if args.has("chrome") {
+        trace_json_to_chrome(&parsed()?)?
+    } else if args.has("json") {
+        json
+    } else {
+        trace_json_to_text(&parsed()?)?
     };
     pipe_println(rendered.trim_end());
     Ok(())
@@ -929,4 +993,54 @@ fn cmd_route_serve(args: &Args) -> Result<(), String> {
     let server = blot_server::Server::start(std::sync::Arc::new(service), addr, config)
         .map_err(|e| e.to_string())?;
     serve_until_quit(server, &format!("coordinating {n_shards} shard(s)"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--store` and `--remote` both hand the renderers a span-JSON
+    /// document, so pinning what one document renders as pins both:
+    /// children sit below their parent whatever order they were
+    /// recorded in, with their simulated cost and notes.
+    #[test]
+    fn one_span_document_renders_as_an_indented_tree_and_chrome_events() {
+        let doc = Json::parse(
+            r#"[{"trace":"aa","span":"02","parent":"01","name":"route","start_us":10,"dur_us":5,"sim_ms":0,"notes":{"replica":1,"units":6}},
+                {"trace":"aa","span":"04","parent":"03","name":"unit.decode","start_us":30,"dur_us":400,"sim_ms":0,"notes":{"records":12}},
+                {"trace":"aa","span":"03","parent":"01","name":"scan.unit","start_us":20,"dur_us":450,"sim_ms":5544.08,"notes":{"partition":0}},
+                {"trace":"aa","span":"01","parent":null,"name":"store.query","start_us":10,"dur_us":1500,"sim_ms":33531.83,"notes":{"units":6}},
+                {"trace":"bb","span":"06","parent":"05","name":"merge","start_us":90,"dur_us":2,"sim_ms":0,"notes":{}}]"#,
+        )
+        .expect("valid span JSON");
+        assert_eq!(
+            trace_json_to_text(&doc).expect("an array"),
+            "trace aa:\n\
+             \x20 store.query          1.500 ms  sim 33531.8 ms  units=6\n\
+             \x20   route                0.005 ms  replica=1  units=6\n\
+             \x20   scan.unit            0.450 ms  sim 5544.1 ms  partition=0\n\
+             \x20     unit.decode          0.400 ms  records=12\n\
+             trace bb:\n\
+             \x20 merge                0.002 ms\n"
+        );
+        let chrome = Json::parse(&trace_json_to_chrome(&doc).expect("an array")).expect("JSON");
+        let events = chrome.as_array().expect("an array of events");
+        assert_eq!(events.len(), 5);
+        let scan = events.get(2).expect("third event");
+        assert_eq!(scan.get("name").and_then(Json::as_str), Some("scan.unit"));
+        assert_eq!(scan.get("ph").and_then(Json::as_str), Some("X"));
+        assert_eq!(scan.get("tid").and_then(Json::as_u64), Some(1));
+        assert_eq!(scan.get("ts").and_then(Json::as_u64), Some(20));
+        assert_eq!(scan.get("dur").and_then(Json::as_u64), Some(450));
+        let args = scan.get("args").expect("args");
+        assert_eq!(args.get("span").and_then(Json::as_str), Some("03"));
+        assert_eq!(args.get("partition").and_then(Json::as_u64), Some(0));
+        assert_eq!(args.get("sim_ms").and_then(Json::as_f64), Some(5544.08));
+        let other = events.get(4).and_then(|e| e.get("tid"));
+        assert_eq!(other.and_then(Json::as_u64), Some(2), "one lane per trace");
+
+        assert!(trace_json_to_text(&Json::obj([])).is_err());
+        let empty = trace_json_to_text(&Json::Arr(Vec::new()));
+        assert_eq!(empty.as_deref(), Ok("(no spans recorded)\n"));
+    }
 }

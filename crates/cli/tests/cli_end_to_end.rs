@@ -130,9 +130,9 @@ fn full_cli_lifecycle() {
     assert!(out.contains("healthy"), "{out}");
 }
 
-#[test]
-fn stats_reports_metrics_and_drift() {
-    let dirs = Dirs::new("stats");
+/// Generates a 4 000-record fleet and builds a row and a column replica
+/// of it under `dirs`; returns the store directory.
+fn two_replica_store(dirs: &Dirs) -> String {
     let data = dirs.path("fleet.csv");
     let store = dirs.path("store");
     let (ok, out) = blot(&[
@@ -159,6 +159,13 @@ fn stats_reports_metrics_and_drift() {
         "S4xT2/COL-GZIP",
     ]);
     assert!(ok, "{out}");
+    store
+}
+
+#[test]
+fn stats_reports_metrics_and_drift() {
+    let dirs = Dirs::new("stats");
+    let store = two_replica_store(&dirs);
 
     // Text mode: metric table plus the drift section.
     let (ok, out) = blot(&["stats", "--store", &store, "--queries", "10"]);
@@ -198,6 +205,48 @@ fn stats_reports_metrics_and_drift() {
             "unexpected sampled scheme {s}: {out}"
         );
     }
+}
+
+#[test]
+fn trace_prints_an_indented_span_tree_and_chrome_events() {
+    let dirs = Dirs::new("trace");
+    let store = two_replica_store(&dirs);
+
+    // Text: two traces, each a `store.query` root with its stages
+    // indented one level below it and a simulated cost beside it.
+    let (ok, out) = blot(&["trace", "--store", &store, "--queries", "2"]);
+    assert!(ok, "{out}");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        lines.iter().filter(|l| l.starts_with("trace ")).count(),
+        2,
+        "{out}"
+    );
+    let root = lines
+        .iter()
+        .position(|l| l.starts_with("  store.query"))
+        .expect("a root span at depth 0");
+    assert!(lines[root].contains("  sim "), "{out}");
+    assert!(lines[root + 1].starts_with("    route"), "{out}");
+    assert!(lines[root + 1].contains("replica="), "{out}");
+
+    // Chrome: complete events with a timestamp and the span's notes.
+    let (ok, out) = blot(&["trace", "--store", &store, "--queries", "2", "--chrome"]);
+    assert!(ok, "{out}");
+    let doc = blot_json::Json::parse(out.trim()).expect("trace --chrome emits valid JSON");
+    let events = doc.as_array().expect("a JSON array");
+    assert!(!events.is_empty(), "{out}");
+    for event in events {
+        assert_eq!(event.field("ph").unwrap().as_str(), Some("X"), "{out}");
+        assert!(event.field("ts").unwrap().as_u64().is_some(), "{out}");
+    }
+    let route = events
+        .iter()
+        .find(|e| e.field("name").unwrap().as_str() == Some("route"))
+        .expect("a route event");
+    let args = route.field("args").unwrap();
+    assert!(args.field("replica").unwrap().as_u64().is_some(), "{out}");
+    assert!(args.field("units").unwrap().as_u64().unwrap() > 0, "{out}");
 }
 
 #[test]

@@ -5,13 +5,15 @@
 //! extract all the records … check the extracted records and output the
 //! ones within the query range". Building the full [`RecordBatch`] just
 //! to throw most of it away doubles allocation traffic on selective
-//! queries; this module fuses decode and filter:
+//! queries; this module fuses decode and filter, a batch at a time:
 //!
-//! * row layouts stream record by record (plain rows filter straight
-//!   from the input slice with no intermediate buffer at all);
-//! * column layouts decode the three core-attribute columns first,
-//!   compute the match mask, and materialise the remaining columns only
-//!   for matching positions.
+//! * row layouts go through fixed-size batches of rows: a branch-light
+//!   pass over the three predicate fields builds a match mask, and the
+//!   other five fields are parsed only for the rows it keeps (plain
+//!   rows are read straight from the input slice);
+//! * column layouts decode the three predicate columns into reusable
+//!   scratch vectors, compute the mask, and decode the remaining
+//!   columns only when something matched.
 
 use blot_geo::Cuboid;
 use blot_model::{Record, RecordBatch};
@@ -35,49 +37,10 @@ impl EncodingScheme {
     /// Decodes a storage unit produced by [`encode`](Self::encode) and
     /// returns only the records inside `range`, plus the scanned count.
     ///
-    /// Produces exactly `decode(bytes)?.filter_range(range)` (up to
-    /// record order within the unit) while avoiding the full
-    /// intermediate batch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`decode`](Self::decode).
-    pub fn decode_filter(self, bytes: &[u8], range: &Cuboid) -> Result<Filtered, CodecError> {
-        let (&tag, payload) = bytes.split_first().ok_or(CodecError::UnexpectedEof {
-            context: "scheme tag",
-        })?;
-        if tag != self.tag() {
-            return Err(CodecError::SchemeMismatch {
-                found: tag,
-                expected: self.tag(),
-            });
-        }
-        let (payload, _zone_map) = crate::ZoneMap::split_footer(payload)?;
-        let laid_out: std::borrow::Cow<'_, [u8]> = match self.compression {
-            Compression::Plain => std::borrow::Cow::Borrowed(payload),
-            Compression::Lzf => std::borrow::Cow::Owned(crate::lzf::lzf_decompress(payload)?),
-            Compression::Deflate => {
-                std::borrow::Cow::Owned(crate::deflate::deflate_decompress(payload)?)
-            }
-            Compression::Lzr => std::borrow::Cow::Owned(crate::lzr::lzr_decompress(payload)?),
-        };
-        match self.layout {
-            Layout::Row => filter_rows(&laid_out, range),
-            Layout::Column => filter_columns(&laid_out, range),
-        }
-    }
-
-    /// Batch-oriented variant of [`decode_filter`](Self::decode_filter):
-    /// identical output (`matched` and `scanned` are bit-for-bit the
-    /// same), different inner loops.
-    ///
-    /// Rows are processed in fixed-size batches — a branch-light
-    /// predicate pass over the three filter columns builds a match mask,
-    /// and the remaining five fields are only parsed for rows the mask
-    /// keeps. Column layouts decode the predicate columns into reusable
-    /// scratch vectors and skip the non-predicate columns entirely when
-    /// nothing matches. `scratch` is caller-owned so a scan loop reuses
-    /// the same allocations across every unit it touches.
+    /// Produces exactly `decode(bytes)?.filter_range(range)` while
+    /// avoiding the full intermediate batch. `scratch` is caller-owned
+    /// so a scan loop reuses the same allocations across every unit it
+    /// touches.
     ///
     /// Whole-unit pruning is *not* done here: deciding from the zone-map
     /// footer whether to decode at all is the storage layer's job,
@@ -125,8 +88,8 @@ const ROW_BATCH: usize = 1024;
 /// Reusable decode buffers for [`EncodingScheme::decode_filter_batched`].
 ///
 /// One instance per scan thread; every unit scanned through it reuses
-/// the same allocations instead of growing fresh `Vec`s per unit (and,
-/// in the old column path, per column).
+/// the same allocations instead of growing fresh `Vec`s per unit and
+/// per column.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     /// Decoded predicate column: timestamps.
@@ -356,50 +319,6 @@ fn byte(row: &[u8], at: usize) -> Result<u8, CodecError> {
     })
 }
 
-/// Streams fixed-width rows, keeping only in-range records.
-fn filter_rows(buf: &[u8], range: &Cuboid) -> Result<Filtered, CodecError> {
-    let mut pos = 0usize;
-    let count = read_varint_u64(buf, &mut pos)?;
-    if count > (1 << 26) {
-        return Err(CodecError::TooLarge { declared: count });
-    }
-    let count = usize::try_from(count).map_err(|_| CodecError::TooLarge { declared: count })?;
-    let rows = count
-        .checked_mul(ROW_WIDTH)
-        .and_then(|len| pos.checked_add(len))
-        .and_then(|end| buf.get(pos..end))
-        .ok_or(CodecError::UnexpectedEof {
-            context: "row records",
-        })?;
-    let mut matched = RecordBatch::new();
-    for row in rows.chunks_exact(ROW_WIDTH) {
-        // Core attributes sit at fixed offsets: oid 0..4, time 4..12,
-        // x 12..20, y 20..28.
-        let time = i64::from_le_bytes(field::<8>(row, 4)?);
-        let x = f64::from_le_bytes(field::<8>(row, 12)?);
-        let y = f64::from_le_bytes(field::<8>(row, 20)?);
-        #[allow(clippy::cast_precision_loss)]
-        let inside = range.contains_point(&blot_geo::Point::new(x, y, time as f64));
-        if !inside {
-            continue;
-        }
-        matched.push(Record {
-            oid: u32::from_le_bytes(field::<4>(row, 0)?),
-            time,
-            x,
-            y,
-            speed: f32::from_le_bytes(field::<4>(row, 28)?),
-            heading: f32::from_le_bytes(field::<4>(row, 32)?),
-            occupied: byte(row, 36)? != 0,
-            passengers: byte(row, 37)?,
-        });
-    }
-    Ok(Filtered {
-        matched,
-        scanned: count,
-    })
-}
-
 /// Reads a length-prefixed column chunk and advances `pos` past it.
 fn read_chunk<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
     let len = read_varint_u64(buf, pos)?;
@@ -413,109 +332,6 @@ fn read_chunk<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError
         })?;
     *pos = start + len;
     Ok(chunk)
-}
-
-/// Decodes core columns, masks, then materialises only matching rows.
-fn filter_columns(buf: &[u8], range: &Cuboid) -> Result<Filtered, CodecError> {
-    let mut pos = 0usize;
-    let count = read_varint_u64(buf, &mut pos)?;
-    if count > (1 << 26) {
-        return Err(CodecError::TooLarge { declared: count });
-    }
-    let n = usize::try_from(count).map_err(|_| CodecError::TooLarge { declared: count })?;
-
-    // Column order matches layout::encode_columns:
-    // oid, time, x, y, speed, heading, occupied, passengers.
-    let oid_c = read_chunk(buf, &mut pos)?;
-    let time_c = read_chunk(buf, &mut pos)?;
-    let x_c = read_chunk(buf, &mut pos)?;
-    let y_c = read_chunk(buf, &mut pos)?;
-    let sp_c = read_chunk(buf, &mut pos)?;
-    let hd_c = read_chunk(buf, &mut pos)?;
-    let oc_c = read_chunk(buf, &mut pos)?;
-    let pa_c = read_chunk(buf, &mut pos)?;
-
-    // Core columns first.
-    let mut times = Vec::with_capacity(n);
-    {
-        let mut cpos = 0usize;
-        let mut prev = 0i64;
-        for _ in 0..n {
-            prev = prev.wrapping_add(read_varint_i64(time_c, &mut cpos)?);
-            times.push(prev);
-        }
-    }
-    let xs = crate::gorilla::decode_f64_column(x_c, n)?;
-    let ys = crate::gorilla::decode_f64_column(y_c, n)?;
-
-    let mask: Vec<bool> = xs
-        .iter()
-        .zip(&ys)
-        .zip(&times)
-        .map(|((&x, &y), &t)| {
-            #[allow(clippy::cast_precision_loss)]
-            let t = t as f64;
-            range.contains_point(&blot_geo::Point::new(x, y, t))
-        })
-        .collect();
-    let matched_count = mask.iter().filter(|&&m| m).count();
-    if matched_count == 0 {
-        return Ok(Filtered {
-            matched: RecordBatch::new(),
-            scanned: n,
-        });
-    }
-
-    // Remaining columns, then gather by mask.
-    let mut oids = Vec::with_capacity(n);
-    {
-        let mut cpos = 0usize;
-        let mut prev = 0i64;
-        for _ in 0..n {
-            prev += read_varint_i64(oid_c, &mut cpos)?;
-            let oid = u32::try_from(prev).map_err(|_| CodecError::Corrupt {
-                context: "oid column out of range",
-            })?;
-            oids.push(oid);
-        }
-    }
-    let speeds = crate::gorilla::decode_f32_column(sp_c, n)?;
-    let headings = crate::gorilla::decode_f32_column(hd_c, n)?;
-    let occ = crate::rle::rle_decode(oc_c)?;
-    let passengers = crate::rle::rle_decode(pa_c)?;
-    if occ.len() != n || passengers.len() != n {
-        return Err(CodecError::Corrupt {
-            context: "column length mismatch",
-        });
-    }
-
-    let mut matched = RecordBatch::with_capacity(matched_count);
-    let cols = oids
-        .into_iter()
-        .zip(times)
-        .zip(xs.into_iter().zip(ys))
-        .zip(speeds.into_iter().zip(headings))
-        .zip(occ.into_iter().zip(passengers));
-    for (&keep, ((((oid, time), (x, y)), (speed, heading)), (occupied, passengers))) in
-        mask.iter().zip(cols)
-    {
-        if keep {
-            matched.push(Record {
-                oid,
-                time,
-                x,
-                y,
-                speed,
-                heading,
-                occupied: occupied != 0,
-                passengers,
-            });
-        }
-    }
-    Ok(Filtered {
-        matched,
-        scanned: n,
-    })
 }
 
 #[cfg(test)]
@@ -556,9 +372,12 @@ mod tests {
     fn filtered_decode_equals_decode_then_filter() {
         let b = batch(1_200);
         let range = test_range();
+        let mut scratch = DecodeScratch::new();
         for scheme in EncodingScheme::all() {
             let bytes = scheme.encode(&b);
-            let filtered = scheme.decode_filter(&bytes, &range).unwrap();
+            let filtered = scheme
+                .decode_filter_batched(&bytes, &range, &mut scratch)
+                .unwrap();
             let full = scheme.decode(&bytes).unwrap();
             let expected = full.filter_range(&range);
             assert_eq!(filtered.scanned, b.len(), "{scheme}");
@@ -574,9 +393,12 @@ mod tests {
     fn empty_match_reports_scanned_count() {
         let b = batch(300);
         let nowhere = Cuboid::new(Point::new(0.0, 0.0, 0.0), Point::new(1.0, 1.0, 1.0));
+        let mut scratch = DecodeScratch::new();
         for scheme in EncodingScheme::all() {
             let bytes = scheme.encode(&b);
-            let f = scheme.decode_filter(&bytes, &nowhere).unwrap();
+            let f = scheme
+                .decode_filter_batched(&bytes, &nowhere, &mut scratch)
+                .unwrap();
             assert_eq!(f.scanned, 300);
             assert!(f.matched.is_empty());
         }
@@ -586,17 +408,18 @@ mod tests {
     fn corrupt_input_errors_not_panics() {
         let b = batch(100);
         let range = test_range();
+        let mut scratch = DecodeScratch::new();
         for scheme in EncodingScheme::all() {
             let bytes = scheme.encode(&b);
             assert!(scheme
-                .decode_filter(&bytes[..bytes.len() / 2], &range)
+                .decode_filter_batched(&bytes[..bytes.len() / 2], &range, &mut scratch)
                 .is_err());
             let wrong = EncodingScheme::all()
                 .into_iter()
                 .find(|s| *s != scheme)
                 .expect("another scheme");
             assert!(matches!(
-                wrong.decode_filter(&bytes, &range),
+                wrong.decode_filter_batched(&bytes, &range, &mut scratch),
                 Err(CodecError::SchemeMismatch { .. })
             ));
         }

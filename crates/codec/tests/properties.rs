@@ -128,20 +128,17 @@ proptest! {
     }
 
     #[test]
-    fn batched_filter_is_bit_identical_to_record_at_a_time(
+    fn batched_filter_is_bit_identical_to_decode_then_filter(
         batch in arb_batch(200),
         range in arb_range(),
     ) {
         let mut scratch = DecodeScratch::new();
         for scheme in EncodingScheme::all() {
             let bytes = scheme.encode(&batch);
-            let reference = scheme.decode_filter(&bytes, &range).unwrap();
             let batched = scheme.decode_filter_batched(&bytes, &range, &mut scratch).unwrap();
-            prop_assert_eq!(&batched.matched, &reference.matched, "{}", scheme);
-            prop_assert_eq!(batched.scanned, reference.scanned, "{}", scheme);
-            // And both agree with decode-everything-then-filter.
-            let full = scheme.decode(&bytes).unwrap().filter_range(&range);
-            prop_assert_eq!(&batched.matched, &full, "{}", scheme);
+            let full = scheme.decode(&bytes).unwrap();
+            prop_assert_eq!(batched.scanned, full.len(), "{}", scheme);
+            prop_assert_eq!(&batched.matched, &full.filter_range(&range), "{}", scheme);
         }
     }
 
@@ -150,6 +147,7 @@ proptest! {
         batch in arb_batch(150),
         range in arb_range(),
     ) {
+        let mut scratch = DecodeScratch::new();
         for scheme in EncodingScheme::all() {
             let bytes = scheme.encode(&batch);
             let (payload, zm) = ZoneMap::split_footer(bytes.get(1..).unwrap()).unwrap();
@@ -159,7 +157,7 @@ proptest! {
             // The prune decision is exact: a non-overlapping verdict
             // implies the filter finds nothing.
             if !zm.overlaps(&range) {
-                let f = scheme.decode_filter(&bytes, &range).unwrap();
+                let f = scheme.decode_filter_batched(&bytes, &range, &mut scratch).unwrap();
                 prop_assert!(f.matched.is_empty(), "{} mispruned", scheme);
             }
         }

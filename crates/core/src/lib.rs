@@ -74,7 +74,6 @@ pub mod adapt;
 pub mod cost;
 mod error;
 pub mod obs;
-pub mod partial;
 pub mod query;
 pub mod replica;
 pub mod select;

@@ -221,7 +221,7 @@ pub fn select_single(matrix: &CostMatrix, budget: Bytes) -> Selection {
 }
 
 /// Work counters for a greedy run, used to demonstrate (and test) the
-/// lazy evaluation's advantage over the naive loop.
+/// lazy evaluation's advantage over a naive full-rescan loop.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GreedyStats {
     /// Times the full `Σᵢ wᵢ·(best − cost)⁺` marginal gain was computed
@@ -230,8 +230,7 @@ pub struct GreedyStats {
 }
 
 /// The marginal gain of adding candidate `j` given the per-query best
-/// costs so far. Shared by the lazy and reference greedy so both
-/// evaluate bit-for-bit identical floats.
+/// costs so far.
 fn gain_of(matrix: &CostMatrix, best_cost: &[f64], j: usize) -> f64 {
     best_cost
         .iter()
@@ -254,7 +253,7 @@ fn seed_best_cost(matrix: &CostMatrix) -> Vec<f64> {
         .collect()
 }
 
-/// Wraps up a finished greedy run (either implementation).
+/// Wraps up a finished greedy run.
 fn finish_greedy(matrix: &CostMatrix, budget: Bytes, chosen: Vec<usize>, used: Bytes) -> Selection {
     if chosen.is_empty() {
         // The finite empty-set convention yields zero gain when every
@@ -316,8 +315,8 @@ impl Ord for CelfEntry {
 /// bounds; a popped entry is re-evaluated only if stale, and a stale
 /// entry that still tops the heap after re-evaluation is the true
 /// argmax. Selections are bit-for-bit identical to the naive
-/// full-rescan loop (see [`select_greedy_reference`], property-tested),
-/// with far fewer gain evaluations.
+/// full-rescan loop (the oracle in `tests/select_properties.rs`), with
+/// far fewer gain evaluations.
 #[must_use]
 pub fn select_greedy(matrix: &CostMatrix, budget: Bytes) -> Selection {
     select_greedy_with_stats(matrix, budget).0
@@ -381,56 +380,6 @@ pub fn select_greedy_with_stats(matrix: &CostMatrix, budget: Bytes) -> (Selectio
         used += matrix.storage[entry.j];
         chosen.push(entry.j);
         round += 1;
-    }
-    (finish_greedy(matrix, budget, chosen, used), stats)
-}
-
-/// The naive full-rescan implementation of Algorithm 1: every round
-/// re-evaluates the gain of every remaining affordable candidate.
-/// Retained as the oracle the lazy implementation is property-tested
-/// against; prefer [`select_greedy`].
-#[must_use]
-pub fn select_greedy_reference(matrix: &CostMatrix, budget: Bytes) -> Selection {
-    select_greedy_reference_with_stats(matrix, budget).0
-}
-
-/// [`select_greedy_reference`] with its work counters.
-#[must_use]
-pub fn select_greedy_reference_with_stats(
-    matrix: &CostMatrix,
-    budget: Bytes,
-) -> (Selection, GreedyStats) {
-    let mut stats = GreedyStats::default();
-    let mut best_cost = seed_best_cost(matrix);
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut remaining: Vec<usize> = (0..matrix.n_candidates()).collect();
-    let mut used = Bytes::ZERO;
-
-    while used < budget {
-        let mut best: Option<(usize, f64)> = None; // (candidate, score)
-        for &j in &remaining {
-            if used + matrix.storage[j] > budget {
-                continue;
-            }
-            stats.gain_evaluations += 1;
-            let gain = gain_of(matrix, &best_cost, j);
-            if gain <= 0.0 {
-                continue;
-            }
-            let score = gain / matrix.storage[j].get();
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((j, score));
-            }
-        }
-        let Some((j, _)) = best else {
-            break;
-        };
-        for (i, bc) in best_cost.iter_mut().enumerate() {
-            *bc = bc.min(matrix.costs[i][j]);
-        }
-        used += matrix.storage[j];
-        chosen.push(j);
-        remaining.retain(|&r| r != j);
     }
     (finish_greedy(matrix, budget, chosen, used), stats)
 }

@@ -65,24 +65,8 @@ pub use query_size::QuerySize;
 /// Partitions are assumed to lie inside `universe`; parts of a partition
 /// outside the universe cannot attract any query centroid and are
 /// effectively clipped.
-pub fn intersection_probability(universe: &Cuboid, qs: QuerySize, partition: &Cuboid) -> f64 {
-    intersection_probability_within(universe, universe, qs, partition)
-}
-
-/// Like [`intersection_probability`], but with the query centroid
-/// uniform over `centroid_region ∩ CR(Q_G)` instead of the whole
-/// feasible range — the generalisation needed for *hot-region*
-/// workloads and partial replication (the paper's future-work
-/// extension), where queries concentrate on a sub-universe.
-///
-/// Returns 0 when the restricted centroid region is empty on some axis.
 #[must_use]
-pub fn intersection_probability_within(
-    universe: &Cuboid,
-    centroid_region: &Cuboid,
-    qs: QuerySize,
-    partition: &Cuboid,
-) -> f64 {
+pub fn intersection_probability(universe: &Cuboid, qs: QuerySize, partition: &Cuboid) -> f64 {
     let mut p = 1.0;
     for axis in 0..3 {
         let u_lo = universe.min().axis(axis);
@@ -91,18 +75,12 @@ pub fn intersection_probability_within(
         let q_len = qs.axis(axis);
         // Feasible centroid interval: [u_lo + q/2, u_hi - q/2], or the
         // universe midpoint when the query spans the whole axis.
-        let (mut c_lo, mut c_hi) = if q_len >= u_len {
+        let (c_lo, c_hi) = if q_len >= u_len {
             let mid = (u_lo + u_hi) / 2.0;
             (mid, mid)
         } else {
             (u_lo + q_len / 2.0, u_hi - q_len / 2.0)
         };
-        // Restrict to the caller's centroid region.
-        c_lo = c_lo.max(centroid_region.min().axis(axis));
-        c_hi = c_hi.min(centroid_region.max().axis(axis));
-        if c_hi < c_lo {
-            return 0.0;
-        }
         // Centroids whose query touches the partition on this axis.
         let lo = (partition.min().axis(axis) - q_len / 2.0).max(c_lo);
         let hi = (partition.max().axis(axis) + q_len / 2.0).min(c_hi);
@@ -164,42 +142,6 @@ mod tests {
         let west = Cuboid::new(Point::new(0.0, 0.0, 0.0), Point::new(1.0, 10.0, 10.0));
         let p = intersection_probability(&u, QuerySize::new(0.5, 0.5, 0.5), &west);
         assert!(p > 0.0 && p < 1.0);
-    }
-
-    #[test]
-    fn restricted_centroid_region_changes_probability() {
-        let u = universe();
-        let part = Cuboid::new(Point::new(0.0, 0.0, 0.0), Point::new(2.0, 10.0, 10.0));
-        let qs = QuerySize::new(1.0, 1.0, 1.0);
-        // Centroids restricted to the west quarter: the west partition
-        // becomes much more likely than under the full range.
-        let west_region = Cuboid::new(Point::new(0.0, 0.0, 0.0), Point::new(2.5, 10.0, 10.0));
-        let p_full = intersection_probability(&u, qs, &part);
-        let p_west = intersection_probability_within(&u, &west_region, qs, &part);
-        assert!(p_west > p_full);
-        assert!(
-            (p_west - 1.0).abs() < 1e-12,
-            "all west-quarter queries touch it"
-        );
-        // Centroids restricted to the east half never reach it.
-        let east_region = Cuboid::new(Point::new(6.0, 0.0, 0.0), Point::new(10.0, 10.0, 10.0));
-        let p_east = intersection_probability_within(&u, &east_region, qs, &part);
-        assert_eq!(p_east, 0.0);
-        // Empty restriction (region outside the feasible range).
-        let outside = Cuboid::new(Point::new(9.9, 0.0, 0.0), Point::new(10.0, 10.0, 10.0));
-        let p_out =
-            intersection_probability_within(&u, &outside, QuerySize::new(9.9, 1.0, 1.0), &part);
-        assert_eq!(p_out, 0.0);
-    }
-
-    #[test]
-    fn unrestricted_region_matches_plain_probability() {
-        let u = universe();
-        let part = Cuboid::new(Point::new(2.0, 3.0, 1.0), Point::new(4.5, 6.0, 7.0));
-        let qs = QuerySize::new(1.5, 2.0, 3.0);
-        let a = intersection_probability(&u, qs, &part);
-        let b = intersection_probability_within(&u, &u, qs, &part);
-        assert!((a - b).abs() < 1e-15);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   never report a count that disagrees with its buckets.
 //! * **Compiled-out mode.** With the `off` cargo feature every handle
 //!   is zero-sized and every record call a no-op; [`enabled`] reports
-//!   which build this is. The bench-smoke overhead guard compares the
+//!   which build this is. `cargo xtask metrics-overhead` compares the
 //!   two builds and fails if instrumentation costs more than 5%.
 
 #![warn(missing_docs)]

@@ -48,33 +48,29 @@ pub const MAX_NOTES: usize = 4;
 const VOCAB: &[&str] = &[
     "store.query",      // 0
     "route",            // 1
-    "scan",             // 2 (retired: slot kept so later indices hold)
-    "merge",            // 3
-    "scan.unit",        // 4
-    "unit.prune",       // 5 (retired: pruning is plan-time, noted on `route`)
-    "unit.decode",      // 6
-    "pool.task",        // 7 (retired)
-    "server.request",   // 8
-    "server.admission", // 9
-    "server.batch",     // 10
-    "client",           // 11
-    "replica",          // 12
-    "units",            // 13
-    "units_skipped",    // 14
-    "bytes",            // 15
-    "bytes_skipped",    // 16
-    "records",          // 17
-    "batch_size",       // 18
-    "pruned",           // 19 (retired with `unit.prune`)
-    "drift_permille",   // 20
-    "queries",          // 21
-    "failed_over",      // 22
-    "partition",        // 23
-    "queue_us",         // 24
-    "router.query",     // 25
-    "router.shard",     // 26
-    "shard",            // 27
-    "fanout",           // 28
+    "merge",            // 2
+    "scan.unit",        // 3
+    "unit.decode",      // 4
+    "server.request",   // 5
+    "server.admission", // 6
+    "server.batch",     // 7
+    "client",           // 8
+    "replica",          // 9
+    "units",            // 10
+    "units_skipped",    // 11
+    "bytes",            // 12
+    "bytes_skipped",    // 13
+    "records",          // 14
+    "batch_size",       // 15
+    "drift_permille",   // 16
+    "queries",          // 17
+    "failed_over",      // 18
+    "partition",        // 19
+    "queue_us",         // 20
+    "router.query",     // 21
+    "router.shard",     // 22
+    "shard",            // 23
+    "fanout",           // 24
 ];
 
 /// A span name or annotation key: an index into the static vocabulary.
@@ -105,51 +101,51 @@ pub mod names {
     /// the in-memory partition index included.
     pub const ROUTE: Name = Name(1);
     /// Result assembly: merge per-unit outputs, drift accounting.
-    pub const MERGE: Name = Name(3);
+    pub const MERGE: Name = Name(2);
     /// One storage unit's scan task (worker thread).
-    pub const SCAN_UNIT: Name = Name(4);
+    pub const SCAN_UNIT: Name = Name(3);
     /// Decode + filter of one unit's payload.
-    pub const UNIT_DECODE: Name = Name(6);
+    pub const UNIT_DECODE: Name = Name(4);
     /// Server-side root of one remote request.
-    pub const SERVER_REQUEST: Name = Name(8);
+    pub const SERVER_REQUEST: Name = Name(5);
     /// Admission-queue wait: submit → batch drain.
-    pub const SERVER_ADMISSION: Name = Name(9);
+    pub const SERVER_ADMISSION: Name = Name(6);
     /// Batch residency: drain → response slot filled.
-    pub const SERVER_BATCH: Name = Name(10);
+    pub const SERVER_BATCH: Name = Name(7);
     /// Client-side root span around one remote call.
-    pub const CLIENT: Name = Name(11);
+    pub const CLIENT: Name = Name(8);
     /// Key: replica id routed to.
-    pub const REPLICA: Name = Name(12);
+    pub const REPLICA: Name = Name(9);
     /// Key: units involved (zone-map-skipped ones included).
-    pub const UNITS: Name = Name(13);
+    pub const UNITS: Name = Name(10);
     /// Key: units skipped via zone maps.
-    pub const UNITS_SKIPPED: Name = Name(14);
+    pub const UNITS_SKIPPED: Name = Name(11);
     /// Key: bytes transferred.
-    pub const BYTES: Name = Name(15);
+    pub const BYTES: Name = Name(12);
     /// Key: payload bytes pruning avoided.
-    pub const BYTES_SKIPPED: Name = Name(16);
+    pub const BYTES_SKIPPED: Name = Name(13);
     /// Key: records matched.
-    pub const RECORDS: Name = Name(17);
+    pub const RECORDS: Name = Name(14);
     /// Key: queries in the same server batch.
-    pub const BATCH_SIZE: Name = Name(18);
+    pub const BATCH_SIZE: Name = Name(15);
     /// Key: predicted/measured cost ratio × 1000.
-    pub const DRIFT_PERMILLE: Name = Name(20);
+    pub const DRIFT_PERMILLE: Name = Name(16);
     /// Key: query count (batch roots).
-    pub const QUERIES: Name = Name(21);
+    pub const QUERIES: Name = Name(17);
     /// Key: replicas failed over before this one answered.
-    pub const FAILED_OVER: Name = Name(22);
+    pub const FAILED_OVER: Name = Name(18);
     /// Key: partition index of a scanned unit.
-    pub const PARTITION: Name = Name(23);
+    pub const PARTITION: Name = Name(19);
     /// Key: microseconds a request waited in the admission queue.
-    pub const QUEUE_US: Name = Name(24);
+    pub const QUEUE_US: Name = Name(20);
     /// Coordinator-side root of one scatter-gather query.
-    pub const ROUTER_QUERY: Name = Name(25);
+    pub const ROUTER_QUERY: Name = Name(21);
     /// One shard's leg of a scatter-gather query (dispatch → reply).
-    pub const ROUTER_SHARD: Name = Name(26);
+    pub const ROUTER_SHARD: Name = Name(22);
     /// Key: shard id a sub-query was routed to.
-    pub const SHARD: Name = Name(27);
+    pub const SHARD: Name = Name(23);
     /// Key: shards a query fanned out to.
-    pub const FANOUT: Name = Name(28);
+    pub const FANOUT: Name = Name(24);
 }
 
 /// 128-bit trace identifier. Plain data — real in every build, because
@@ -714,9 +710,11 @@ impl SpanHandle {
 }
 
 // ---------------------------------------------------------------------
-// Exporters. Always compiled (they operate on snapshot data, which is
-// simply empty in an `off` build), shared by the server's Trace reply,
-// the CLI and the tests.
+// The exporter and the trace filters. Always compiled (they operate on
+// snapshot data, which is simply empty in an `off` build), shared by the
+// server's Trace reply, the CLI and the tests. There is one export
+// shape, the span-JSON array; rendering it for Chrome or a terminal is
+// the CLI's job.
 
 fn push_notes_json(out: &mut String, rec: &SpanRecord) {
     out.push_str(",\"notes\":{");
@@ -754,94 +752,6 @@ pub fn records_to_json(records: &[SpanRecord]) -> String {
         out.push('}');
     }
     out.push(']');
-    out
-}
-
-/// Renders records as Chrome `trace_event` JSON (an array of `ph:"X"`
-/// complete events), loadable in `chrome://tracing` or Perfetto. Each
-/// trace gets its own `tid` lane so concurrent queries do not overlap.
-#[must_use]
-pub fn records_to_chrome(records: &[SpanRecord]) -> String {
-    let mut lanes: Vec<TraceId> = Vec::new();
-    let mut out = String::from("[");
-    for (i, rec) in records.iter().enumerate() {
-        let tid = match lanes.iter().position(|t| *t == rec.trace) {
-            Some(p) => p + 1,
-            None => {
-                lanes.push(rec.trace);
-                lanes.len()
-            }
-        };
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"blot\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"trace\":\"{}\",\"span\":\"{}\"",
-            rec.name, rec.start_us, rec.dur_us, rec.trace, rec.span,
-        );
-        for (k, v) in rec.notes() {
-            let _ = write!(out, ",\"{k}\":{v}");
-        }
-        if rec.sim_ms > 0.0 && rec.sim_ms.is_finite() {
-            let _ = write!(out, ",\"sim_ms\":{}", rec.sim_ms);
-        }
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
-}
-
-/// Renders records as an indented per-trace tree for terminals.
-#[must_use]
-pub fn records_to_text(records: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    let mut traces: Vec<TraceId> = Vec::new();
-    for rec in records {
-        if !traces.contains(&rec.trace) {
-            traces.push(rec.trace);
-        }
-    }
-    for trace in traces {
-        let _ = writeln!(out, "trace {trace}:");
-        let mut of_trace: Vec<&SpanRecord> = records.iter().filter(|r| r.trace == trace).collect();
-        of_trace.sort_by_key(|r| r.start_us);
-        // Depth by walking parent links within the snapshot; a parent
-        // evicted from the ring renders its children at depth 0.
-        for rec in &of_trace {
-            let mut depth = 0usize;
-            let mut at = rec.parent;
-            while let Some(p) = at {
-                match of_trace.iter().find(|r| r.span == p) {
-                    Some(parent) => {
-                        depth += 1;
-                        at = parent.parent;
-                    }
-                    None => break,
-                }
-                if depth > 16 {
-                    break;
-                }
-            }
-            let indent = "  ".repeat(depth + 1);
-            let _ = write!(
-                out,
-                "{indent}{:<16} {:>9.3} ms",
-                rec.name.as_str(),
-                rec.dur_us as f64 / 1e3
-            );
-            if rec.sim_ms > 0.0 {
-                let _ = write!(out, "  sim {:.1} ms", rec.sim_ms);
-            }
-            for (k, v) in rec.notes() {
-                let _ = write!(out, "  {k}={v}");
-            }
-            out.push('\n');
-        }
-    }
-    if out.is_empty() {
-        out.push_str("(no spans recorded)\n");
-    }
     out
 }
 
@@ -1050,15 +960,10 @@ mod tests {
         let records = rec.snapshot();
         let json = records_to_json(&records);
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-        let chrome = records_to_chrome(&records);
-        assert!(chrome.starts_with('[') && chrome.ends_with(']'), "{chrome}");
         if crate::enabled() {
             assert!(json.contains("\"name\":\"store.query\""), "{json}");
-            assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
-            assert!(records_to_text(&records).contains("store.query"));
         } else {
             assert_eq!(json, "[]");
-            assert_eq!(chrome, "[]");
         }
     }
 

@@ -11,8 +11,9 @@
 //!
 //! There is one target per decoder — fourteen in all: the three
 //! general-purpose decompressors, the tag-sniffing `decode_auto`, the
-//! eight per-scheme `EncodingScheme::decode` paths of the full
-//! layout × compression grid, the zone-map footer parser
+//! eight per-scheme targets of the full layout × compression grid
+//! (each drives both `EncodingScheme::decode` and the query path's
+//! `decode_filter_batched`, which must agree), the zone-map footer parser
 //! (`zonemap_footer`), and the `blot-server` wire-frame decoder
 //! (`server_frame`). The `registry` lint cross-checks the codec part of
 //! this list against the parsed `Compression`/`Layout` variants, so
@@ -20,7 +21,7 @@
 
 use blot_codec::{
     deflate_compress, deflate_decompress, lzf_compress, lzf_decompress, lzr_compress,
-    lzr_decompress, Compression, EncodingScheme, Layout, ZoneMap,
+    lzr_decompress, Compression, DecodeScratch, EncodingScheme, Layout, ZoneMap,
 };
 use blot_geo::{Cuboid, Point};
 use blot_model::{Record, RecordBatch};
@@ -65,7 +66,24 @@ fn t_zonemap_footer(d: &[u8]) {
 macro_rules! scheme_target {
     ($fn_name:ident, $layout:ident, $comp:ident) => {
         fn $fn_name(d: &[u8]) {
-            let _ = EncodingScheme::new(Layout::$layout, Compression::$comp).decode(d);
+            let scheme = EncodingScheme::new(Layout::$layout, Compression::$comp);
+            let full = scheme.decode(d);
+            // Queries decode untrusted unit bytes through the batched
+            // filter, not `decode`. A range that holds every finite
+            // point makes it materialise all columns, and whenever both
+            // accept the input they must have seen the same unit.
+            let everywhere = Cuboid::new(
+                Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
+                Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
+            );
+            let filtered = scheme.decode_filter_batched(d, &everywhere, &mut DecodeScratch::new());
+            if let (Ok(full), Ok(filtered)) = (full, filtered) {
+                assert_eq!(
+                    filtered.scanned,
+                    full.len(),
+                    "decode_filter_batched and decode disagree on the record count"
+                );
+            }
         }
     };
 }
