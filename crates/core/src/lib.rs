@@ -70,7 +70,6 @@
 // do for the panic lints in clippy.toml.
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
-pub mod adapt;
 pub mod cost;
 mod error;
 pub mod obs;

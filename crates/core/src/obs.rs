@@ -35,7 +35,9 @@ pub struct StoreMetrics {
     pub query_sim_ms: Histogram,
     /// Records returned to callers.
     pub records_returned: Counter,
-    /// Storage units scanned by queries.
+    /// Storage units involved in queries' plans — including those the
+    /// zone maps then skipped (see `units_skipped`), like
+    /// `QueryResult::partitions_scanned`.
     pub units_scanned: Counter,
     /// Involved units whose zone-map footer proved them disjoint from
     /// the query range — payload never fetched or decoded.

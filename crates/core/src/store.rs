@@ -24,7 +24,6 @@ use blot_storage::scan::{run_scan, ScanReport, ScanTask};
 use blot_storage::sync::{Mutex, RwLock};
 use blot_storage::{Backend, EnvProfile, ScanExecutor, StorageError, UnitKey};
 
-use crate::adapt::QueryLog;
 use crate::cost::CostModel;
 use crate::obs::{DriftBand, DriftReport, ReplicaMetrics, StoreMetrics};
 use crate::replica::ReplicaConfig;
@@ -276,8 +275,6 @@ pub struct BlotStore<B> {
     universe: Cuboid,
     model: CostModel,
     replicas: Vec<BuiltReplica>,
-    /// Optional query log feeding adaptive reconfiguration (§II-E).
-    log: Option<Mutex<QueryLog>>,
     /// Shared executor for all unit-granular work.
     pool: Arc<ScanExecutor>,
     /// Instrument handles (see [`crate::obs`]).
@@ -391,7 +388,6 @@ impl<B: Backend + 'static> BlotStore<B> {
             universe,
             model,
             replicas: Vec::new(),
-            log: None,
             pool,
             metrics,
             recorder: FlightRecorder::new(TRACE_CAPACITY),
@@ -459,21 +455,6 @@ impl<B: Backend + 'static> BlotStore<B> {
                 .iter()
                 .map(|r| (r.config.encoding, r.obs.drift.snapshot())),
         )
-    }
-
-    /// Starts recording executed query ranges into a bounded
-    /// [`QueryLog`] for later [`adapt::recommend`](crate::adapt::recommend)
-    /// calls. Replaces any previous log.
-    pub fn enable_query_log(&mut self, capacity: usize) {
-        self.log = Some(Mutex::new(QueryLog::new(capacity)));
-    }
-
-    /// A snapshot of the query log (empty if logging was never enabled).
-    #[must_use]
-    pub fn query_log(&self) -> QueryLog {
-        self.log
-            .as_ref()
-            .map_or_else(|| QueryLog::new(1), |l| l.lock().clone())
     }
 
     /// The store's backend (for failure injection in tests and for
@@ -614,9 +595,8 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// Each touched storage unit is read, decoded, extended and
     /// re-encoded (BLOT units are optimised for sequential scans, not
     /// in-place appends). Partition boundaries stay fixed — continuous
-    /// ingest skews partition sizes over time, which is exactly the
-    /// drift the adaptive advisor (`adapt::recommend`) exists to detect
-    /// and correct by re-selecting and rebuilding.
+    /// ingest skews partition sizes over time; correcting that means
+    /// re-selecting and rebuilding the replicas.
     ///
     /// # Errors
     ///
@@ -863,7 +843,7 @@ impl<B: Backend + 'static> BlotStore<B> {
     }
 
     /// Opens one query's plan and plans its first attempt. A routed
-    /// query (`forced` is `None`) is logged, counted, timed into
+    /// query (`forced` is `None`) is counted, timed into
     /// `store.query_wall_ms` until its batch returns and — when `traced`
     /// — given a `store.query` root span whose first `route` child covers
     /// the ranking and the plan; a forced one tries exactly that replica
@@ -871,9 +851,6 @@ impl<B: Backend + 'static> BlotStore<B> {
     fn start_plan(&self, query: &TracedQuery, forced: Option<u32>, traced: bool) -> QueryPlan<'_> {
         let mut wall = None;
         if forced.is_none() {
-            if let Some(log) = &self.log {
-                log.lock().observe(&query.range);
-            }
             self.metrics.queries.inc();
             wall = Some(Span::start(&self.metrics.query_wall_ms));
         }

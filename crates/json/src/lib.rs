@@ -310,34 +310,13 @@ impl ToJson for bool {
     }
 }
 
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_owned())
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
     }
 }
 
-impl FromJson for String {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| JsonError::shape("expected a string"))
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }

@@ -3,9 +3,9 @@
 //! One [`Client`] owns one TCP connection, reconnecting once per call
 //! if the transport drops. [`Client::query`] retries `Overloaded`
 //! replies with capped exponential backoff, honouring the server's
-//! retry-after hint — the behaviour both `blot query --remote` and the
-//! load generator want. [`Client::query_once`] exposes the raw
-//! single-shot outcome for overload tests and latency measurement.
+//! retry-after hint — the behaviour `blot query --remote` wants.
+//! [`Client::query_once`] exposes the raw single-shot outcome for the
+//! shard router, overload tests and latency measurement.
 
 use std::fmt;
 use std::net::TcpStream;

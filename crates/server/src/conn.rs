@@ -40,8 +40,11 @@ const POLL_TICK: Duration = Duration::from_millis(150);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
-/// Spawns a named service thread. Centralised here so the
-/// `thread-discipline` waiver covers every serving-layer spawn site.
+/// Spawns a named service thread. Centralised here so the one
+/// `thread-discipline` exemption (`xtask::THREAD_DISCIPLINE_EXEMPT_PATHS`)
+/// covers every serving-layer spawn site: accept/handler/batch-lane
+/// threads are long-lived I/O loops, and scans still run on the shared
+/// `ScanExecutor`.
 ///
 /// # Errors
 ///
@@ -50,7 +53,6 @@ pub(crate) fn spawn_named(
     name: &str,
     f: impl FnOnce() + Send + 'static,
 ) -> std::io::Result<JoinHandle<()>> {
-    // audit: allow(thread-discipline, serving-layer accept/handler/batch-lane threads are long-lived I/O loops, not unit-scan work; scans still run on the shared ScanExecutor)
     std::thread::Builder::new()
         .name(format!("blot-server-{name}"))
         .spawn(f)

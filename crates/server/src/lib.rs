@@ -24,7 +24,7 @@
 //!   (stop accepting → answer in-flight → join threads → drain the
 //!   scan pool → flush metrics);
 //! * [`client`] — a blocking client with `Overloaded` retry/backoff,
-//!   shared by `blot query --remote` and the load generator;
+//!   used by `blot query --remote` and the shard router;
 //! * [`stats`] — the `Stats` reply payload (metrics + drift + the same
 //!   text rendering the local CLI prints).
 //!

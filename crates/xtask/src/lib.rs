@@ -9,23 +9,22 @@
 //! * **error-traits** — every public error enum has an
 //!   `std::error::Error` impl and a `require_error_traits::<…>`
 //!   Send + Sync compile-time assertion;
-//! * **deps** — offline `cargo metadata` audit: licenses declared,
-//!   no duplicate semver-major versions;
 //! * **lock-discipline** — no `storage::sync` guard held across
 //!   backend I/O or an `execute_all` submission, and lock acquisitions
 //!   follow the declared order; see [`locks`];
-//! * **thread-discipline** — no ad-hoc OS threads outside the shared
-//!   scan-executor pool;
+//! * **thread-discipline** — no ad-hoc OS threads outside the files
+//!   named in [`THREAD_DISCIPLINE_EXEMPT_PATHS`];
 //! * **metrics-discipline** — no ad-hoc `static` atomics in the
 //!   instrumented crates (`core`, `storage`): every global counter is
 //!   a registered `blot-obs` instrument;
 //! * **registry** / **wire-registry** — every `codec::scheme` variant
 //!   resolves to an encoder, a decoder, a round-trip proptest and a
 //!   fuzz target, and every `server::wire` variant to encode + decode
-//!   arms, client-side handling and a test mention; see [`registry`];
-//! * **ratchet** / **unused-allow** — `crates/xtask/ratchet.toml` pins
-//!   the per-rule count of `// audit: allow(rule, reason)` waivers, and
-//!   a waiver that waives nothing fails; see [`ratchet`].
+//!   arms, client-side handling and a test mention; see [`registry`].
+//!
+//! No rule can be switched off by a comment: the only exceptions are
+//! the constants below ([`THREAD_DISCIPLINE_EXEMPT_PATHS`] and the
+//! crate lists each rule covers).
 
 // Token-index arithmetic throughout this crate works on indices the
 // scanners themselves produced; `.get()` chains would only obscure it.
@@ -33,16 +32,14 @@
 #![allow(clippy::indexing_slicing)]
 
 pub mod ast;
-pub mod deps;
 pub mod fuzz;
 pub mod lexer;
 pub mod locks;
 pub mod overhead;
-pub mod ratchet;
 pub mod registry;
 pub mod rules;
 
-use rules::{Allow, Rule, RuleSet, Violation};
+use rules::{Rule, RuleSet, Violation};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -52,15 +49,17 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["storage", "core"];
 
 /// Crates that must run all parallel work on the shared scan-executor
 /// pool instead of spawning ad-hoc OS threads (rule `thread-discipline`).
-/// The pool's own implementation file is exempt, and `server`'s
-/// long-lived accept/handler/batch-lane threads carry a waiver at their
-/// single spawn site (`conn.rs::spawn_named`). `router`'s shard
-/// connection workers are long-lived I/O threads, deliberately kept in
-/// its `pool.rs` so they fall under the pool-file exemption.
 pub const THREAD_DISCIPLINE_CRATES: &[&str] = &["storage", "core", "server", "router"];
 
-/// The one file allowed to create OS threads: the pool itself.
-pub const THREAD_DISCIPLINE_EXEMPT_FILE: &str = "pool.rs";
+/// Every file allowed to create OS threads, as workspace-relative
+/// paths: the scan-executor pool itself, `router`'s long-lived shard
+/// connection workers, and `server`'s single spawn site
+/// (`conn.rs::spawn_named`) for its accept/handler/batch-lane loops.
+pub const THREAD_DISCIPLINE_EXEMPT_PATHS: &[&str] = &[
+    "crates/storage/src/pool.rs",
+    "crates/router/src/pool.rs",
+    "crates/server/src/conn.rs",
+];
 
 /// Crates whose global counters must be `blot-obs` registry
 /// instruments rather than ad-hoc `static` atomics (rule
@@ -73,8 +72,6 @@ pub const METRICS_DISCIPLINE_CRATES: &[&str] = &["core", "storage"];
 pub struct Report {
     /// Violations across all rules, in walk order.
     pub violations: Vec<Violation>,
-    /// Every `audit: allow` comment found, with use counts.
-    pub allows: Vec<Allow>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -102,33 +99,8 @@ impl Report {
         );
         for &rule in Rule::ALL {
             let n = self.violations.iter().filter(|v| v.rule == rule).count();
-            let waived: usize = self
-                .allows
-                .iter()
-                .filter(|a| a.rule == rule)
-                .map(|a| a.used)
-                .sum();
-            if n > 0 || waived > 0 {
-                let _ = writeln!(out, "  {rule:<14} {n} violation(s), {waived} waived");
-            }
-        }
-        let used: Vec<&Allow> = self.allows.iter().filter(|a| a.used > 0).collect();
-        if !used.is_empty() {
-            let _ = writeln!(out, "allow ledger ({} used):", used.len());
-            for a in used {
-                let _ = writeln!(
-                    out,
-                    "  {}:{}: allow({}) ×{} — {}",
-                    a.file.display(),
-                    a.line,
-                    a.rule,
-                    a.used,
-                    if a.reason.is_empty() {
-                        "(no reason given)"
-                    } else {
-                        &a.reason
-                    }
-                );
+            if n > 0 {
+                let _ = writeln!(out, "  {rule:<14} {n} violation(s)");
             }
         }
         out
@@ -158,14 +130,10 @@ impl Report {
 
 /// Lints the workspace rooted at `root`.
 ///
-/// `with_deps` controls whether the `cargo metadata` dependency audit
-/// runs (fixture tests skip it to stay hermetic).
-///
 /// # Errors
 ///
-/// Returns a message when the workspace cannot be walked or the
-/// dependency metadata cannot be obtained.
-pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
+/// Returns a message when the workspace cannot be walked.
+pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let mut report = Report::default();
 
     let crates_dir = root.join("crates");
@@ -187,10 +155,6 @@ pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
     }
     // The facade crate's own sources.
     lint_crate(root, root, "blot", &mut report)?;
-
-    if with_deps {
-        report.violations.extend(deps::audit_dependencies(root)?);
-    }
 
     // Registry completeness: the codec scheme enums against their
     // encoder/decoder arms, property tests and fuzz targets.
@@ -220,23 +184,6 @@ pub fn lint_workspace(root: &Path, with_deps: bool) -> Result<Report, String> {
         &read(client_file)?,
         &read(Path::new("crates/server/tests/e2e.rs"))?,
     ));
-
-    // The waiver ratchet: live allow-comment counts against the pins.
-    report
-        .violations
-        .extend(ratchet::check(root, &report.allows));
-
-    // Stale allows are violations too — the ledger must stay honest.
-    for a in &report.allows {
-        if a.used == 0 {
-            report.violations.push(Violation {
-                rule: Rule::UnusedAllow,
-                file: a.file.clone(),
-                line: a.line,
-                message: format!("allow({}) waives nothing — remove it", a.rule),
-            });
-        }
-    }
     Ok(report)
 }
 
@@ -261,21 +208,15 @@ fn lint_crate(
     for file in &files {
         let source = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let file_name = file
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
+        let rel = file.strip_prefix(root).unwrap_or(file);
         let rules = RuleSet {
             lock_discipline: LOCK_DISCIPLINE_CRATES.contains(&crate_name),
-            thread_discipline: THREAD_DISCIPLINE_CRATES.contains(&crate_name)
-                && file_name != THREAD_DISCIPLINE_EXEMPT_FILE,
+            thread_discipline: thread_discipline_applies(crate_name, rel),
             metrics_discipline: METRICS_DISCIPLINE_CRATES.contains(&crate_name),
         };
-        let rel = file.strip_prefix(root).unwrap_or(file);
         let fr = rules::audit_file(rel, &source, rules);
         report.files_scanned += 1;
         report.violations.extend(fr.violations);
-        report.allows.extend(fr.allows);
         for (name, line) in fr.error_enums {
             error_enums.push((name, line, rel.to_path_buf()));
         }
@@ -306,6 +247,15 @@ fn lint_crate(
     Ok(())
 }
 
+/// Whether rule `thread-discipline` covers the file at the
+/// workspace-relative path `rel` of crate `crate_name`.
+fn thread_discipline_applies(crate_name: &str, rel: &Path) -> bool {
+    THREAD_DISCIPLINE_CRATES.contains(&crate_name)
+        && !THREAD_DISCIPLINE_EXEMPT_PATHS
+            .iter()
+            .any(|exempt| rel == Path::new(exempt))
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
@@ -318,4 +268,40 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spawn is flagged in any non-exempt file of a disciplined crate
+    /// (a pool-named file included), and in none of the exempt paths.
+    #[test]
+    fn thread_spawns_are_flagged_outside_the_exempt_paths_only() {
+        let source = "pub fn f() {\n    std::thread::spawn(|| {});\n}\n";
+        let spawns = |crate_name: &str, rel: &str| {
+            let rules = RuleSet {
+                thread_discipline: thread_discipline_applies(crate_name, Path::new(rel)),
+                ..RuleSet::default()
+            };
+            rules::audit_file(Path::new(rel), source, rules)
+                .violations
+                .iter()
+                .filter(|v| v.rule == Rule::ThreadDiscipline)
+                .count()
+        };
+        for (crate_name, rel) in [
+            ("server", "crates/server/src/batch.rs"),
+            ("core", "crates/core/src/store.rs"),
+            ("storage", "crates/storage/src/backend.rs"),
+            ("router", "crates/router/src/lib.rs"),
+            ("core", "crates/core/src/pool.rs"),
+        ] {
+            assert_eq!(spawns(crate_name, rel), 1, "{rel} must be flagged");
+        }
+        for rel in THREAD_DISCIPLINE_EXEMPT_PATHS {
+            let crate_name = rel.split('/').nth(1).unwrap_or_default();
+            assert_eq!(spawns(crate_name, rel), 0, "{rel} is exempt");
+        }
+    }
 }

@@ -29,9 +29,9 @@ use std::path::Path;
 /// holding locks that appear **earlier** in this list. The names are
 /// the final path segment of the lock field (`self.units` → `units`).
 /// `zones` — a replica's share of the store's partition index — is read
-/// once per query plan, after the query log and never across backend
-/// I/O, so it ranks before the backends' own locks.
-pub const LOCK_ORDER: &[&str] = &["log", "zones", "failures", "units"];
+/// once per query plan and never across backend I/O, so it ranks
+/// before the backends' own locks.
+pub const LOCK_ORDER: &[&str] = &["zones", "failures", "units"];
 
 /// Backend method names that perform storage I/O.
 const IO_METHODS: &[&str] = &[

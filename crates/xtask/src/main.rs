@@ -3,13 +3,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask lint [--no-deps] [--update-ratchet] [--github]\n       cargo xtask lint --explain RULE\n       cargo xtask fuzz [--target NAME] [--millis N]\n       cargo xtask metrics-overhead";
+const USAGE: &str = "usage: cargo xtask lint [--github]\n       cargo xtask lint --explain RULE\n       cargo xtask fuzz [--target NAME] [--millis N]\n       cargo xtask metrics-overhead";
 
 /// Parsed options of the `lint` subcommand.
 #[derive(Debug, Default)]
 struct LintOptions {
-    with_deps: bool,
-    update_ratchet: bool,
     github: bool,
     explain: Option<String>,
 }
@@ -37,15 +35,10 @@ fn main() -> ExitCode {
 }
 
 fn parse_lint_options(args: &[String]) -> Result<LintOptions, String> {
-    let mut options = LintOptions {
-        with_deps: true,
-        ..LintOptions::default()
-    };
+    let mut options = LintOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--no-deps" => options.with_deps = false,
-            "--update-ratchet" => options.update_ratchet = true,
             "--github" => options.github = true,
             "--explain" => match it.next() {
                 Some(rule) => options.explain = Some(rule.clone()),
@@ -71,15 +64,7 @@ fn exit(outcome: Result<bool, String>) -> ExitCode {
 }
 
 fn lint(options: &LintOptions) -> Result<bool, String> {
-    let root = workspace_root()?;
-    if options.update_ratchet {
-        // First pass only collects the ledger; ratchet mismatches in it
-        // are exactly what the update is about to resolve.
-        let report = xtask::lint_workspace(&root, false)?;
-        let path = xtask::ratchet::update(&root, &report.allows)?;
-        println!("ratchet updated: {}", path.display());
-    }
-    let report = xtask::lint_workspace(&root, options.with_deps)?;
+    let report = xtask::lint_workspace(&workspace_root()?)?;
     print!("{}", report.render());
     if options.github {
         print!("{}", report.github_annotations());

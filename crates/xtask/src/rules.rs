@@ -1,32 +1,20 @@
-//! The per-file audit rules: thread and metrics discipline, error-enum
-//! hygiene, and the waiver ledger (lock discipline lives in
-//! [`crate::locks`], the registries in [`crate::registry`]).
+//! The per-file audit rules: thread and metrics discipline and
+//! error-enum hygiene (lock discipline lives in [`crate::locks`], the
+//! registries in [`crate::registry`]).
 //!
 //! All rules work on the token stream from [`crate::lexer`]; none of
-//! them require type information. Violations can be waived site by
-//! site with a justification comment, on the offending line or the
-//! line above:
-//!
-//! ```text
-//! // audit: allow(thread-discipline, long-lived accept loop, not scan work)
-//! ```
-//!
-//! Every allow is collected into a ledger that `cargo xtask lint`
-//! prints; allows that waive nothing are themselves violations, so the
-//! ledger cannot rot.
+//! them require type information, and no comment can waive them.
 
 use crate::lexer::{lex, Kind, Token};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Rule identifiers, as used in `audit: allow(<rule>, …)` comments.
+/// Rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// Public error enum without an `std::error::Error` impl or without
     /// a `require_error_traits::<…>` Send + Sync assertion.
     ErrorTraits,
-    /// Dependency-graph problems (unknown license, duplicate majors).
-    Deps,
     /// A `storage::sync` guard held across backend I/O or a pool
     /// submission, or a lock acquisition violating the declared lock
     /// order.
@@ -46,39 +34,29 @@ pub enum Rule {
     /// without encode + decode arms, a client-side handling arm, and a
     /// test-corpus mention.
     WireRegistry,
-    /// The live waiver count differs from the `ratchet.toml` pin.
-    Ratchet,
-    /// An `audit: allow` comment that waives nothing.
-    UnusedAllow,
 }
 
 impl Rule {
     /// Every rule, in report order.
     pub const ALL: &'static [Rule] = &[
         Rule::ErrorTraits,
-        Rule::Deps,
         Rule::LockDiscipline,
         Rule::ThreadDiscipline,
         Rule::MetricsDiscipline,
         Rule::Registry,
         Rule::WireRegistry,
-        Rule::Ratchet,
-        Rule::UnusedAllow,
     ];
 
-    /// The name used in allow comments and reports.
+    /// The name used in reports and `--explain`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Rule::ErrorTraits => "error-traits",
-            Rule::Deps => "deps",
             Rule::LockDiscipline => "lock-discipline",
             Rule::ThreadDiscipline => "thread-discipline",
             Rule::MetricsDiscipline => "metrics-discipline",
             Rule::Registry => "registry",
             Rule::WireRegistry => "wire-registry",
-            Rule::Ratchet => "ratchet",
-            Rule::UnusedAllow => "unused-allow",
         }
     }
 
@@ -94,12 +72,6 @@ impl Rule {
                  `require_error_traits::<YourError>()` compile-time assertion next to the \
                  enum."
             }
-            Rule::Deps => {
-                "Why: duplicate semver-major dependency versions bloat builds and split \
-                 trait impls; undeclared licenses block redistribution.\n\
-                 Fix: converge the workspace on one version per crate major and declare a \
-                 `license` field in every manifest."
-            }
             Rule::LockDiscipline => {
                 "Why: a `storage::sync` guard held across backend I/O serialises every \
                  concurrent reader behind one unit's disk latency; held across an \
@@ -108,14 +80,15 @@ impl Rule {
                  pair in opposite orders.\n\
                  Fix: use temporary guards (`self.units.write().insert(...)`), `drop(guard)` \
                  before I/O or a pool submission, and acquire locks in the declared \
-                 `LOCK_ORDER` (log before zones before failures before units)."
+                 `LOCK_ORDER` (zones before failures before units)."
             }
             Rule::ThreadDiscipline => {
                 "Why: ad-hoc `thread::spawn` bypasses the shared `ScanExecutor` pool, so \
                  unit-scan work escapes its admission control and saturates the box under \
                  load.\n\
                  Fix: submit work through `ScanExecutor::execute_all`. Long-lived I/O loops \
-                 (accept/handler threads) may carry `// audit: allow(thread-discipline, ...)`."
+                 (accept/handler threads) belong in a file listed in \
+                 `THREAD_DISCIPLINE_EXEMPT_PATHS`, which review owns."
             }
             Rule::MetricsDiscipline => {
                 "Why: a `static` atomic counter is invisible to `metrics_snapshot()` and \
@@ -129,7 +102,7 @@ impl Rule {
                  (de)serialised — a latent data-loss bug.\n\
                  Fix: add the dispatch arms in `EncodingScheme::{encode,decode}`, a \
                  `<variant>_roundtrips` property test, and register the fuzz target in \
-                 `xtask::fuzz`. This rule cannot be waived."
+                 `xtask::fuzz`."
             }
             Rule::WireRegistry => {
                 "Why: a `Request`/`Response`/`ErrorCode` variant without encode + decode \
@@ -137,35 +110,9 @@ impl Rule {
                  emit what the other cannot parse, and nothing fails until production.\n\
                  Fix: add the arms in `wire.rs` (`encode`, `decode`, `from_u16`), give the \
                  client a handling arm or `disposition(...)` entry, and cover the variant \
-                 in the e2e or unit tests. This rule cannot be waived."
-            }
-            Rule::Ratchet => {
-                "Why: waiver counts only mean something if they cannot drift — an increase \
-                 is a new unreviewed waiver, a decrease is an improvement that would \
-                 silently regress if the pin stayed loose.\n\
-                 Fix: remove the new waiver, or — after review — run \
-                 `cargo xtask lint --update-ratchet` to re-pin."
-            }
-            Rule::UnusedAllow => {
-                "Why: an `audit: allow` that waives nothing is ledger rot — it documents a \
-                 hazard that no longer exists and hides the day the hazard comes back.\n\
-                 Fix: delete the comment (and run `cargo xtask lint --update-ratchet`)."
+                 in the e2e or unit tests."
             }
         }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "error-traits" => Rule::ErrorTraits,
-            "deps" => Rule::Deps,
-            "lock-discipline" => Rule::LockDiscipline,
-            "thread-discipline" => Rule::ThreadDiscipline,
-            "metrics-discipline" => Rule::MetricsDiscipline,
-            // `registry`, `wire-registry` and `ratchet` are
-            // workspace-level structural checks and deliberately cannot
-            // be waived site by site.
-            _ => return None,
-        })
     }
 }
 
@@ -201,28 +148,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A parsed `audit: allow` comment.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    /// Rule being waived.
-    pub rule: Rule,
-    /// Justification text (everything after the comma).
-    pub reason: String,
-    /// File the comment is in.
-    pub file: PathBuf,
-    /// 1-based line of the comment.
-    pub line: usize,
-    /// How many violations this comment waived.
-    pub used: usize,
-}
-
 /// Result of auditing one file.
 #[derive(Debug, Default)]
 pub struct FileReport {
-    /// Violations that survived the allowlist.
+    /// Violations found in the file.
     pub violations: Vec<Violation>,
-    /// All allow comments found (with use counts).
-    pub allows: Vec<Allow>,
     /// Public error enums declared in this file (for the crate-level
     /// error-traits aggregation).
     pub error_enums: Vec<(String, usize)>,
@@ -254,71 +184,26 @@ pub fn audit_file(file: &Path, source: &str, rules: RuleSet) -> FileReport {
     let tokens = lex(source);
     let mut report = FileReport::default();
 
-    // 1. Allow ledger.
-    for t in &tokens {
-        if t.kind != Kind::Comment {
-            continue;
-        }
-        if let Some(mut allow) = parse_allow(&t.text) {
-            allow.file = file.to_path_buf();
-            allow.line = t.line;
-            report.allows.push(allow);
-        }
-    }
-
-    // 2. Significant tokens outside `#[cfg(test)]` items.
+    // Significant tokens outside `#[cfg(test)]` items.
     let sig = significant_non_test(&tokens);
 
-    // 3. Per-site rules.
-    let mut raw: Vec<Violation> = Vec::new();
+    // Per-site rules.
+    let out = &mut report.violations;
     if rules.thread_discipline {
-        scan_thread_spawns(file, &tokens, &sig, &mut raw);
+        scan_thread_spawns(file, &tokens, &sig, out);
     }
     if rules.metrics_discipline {
-        scan_static_atomics(file, &tokens, &sig, &mut raw);
+        scan_static_atomics(file, &tokens, &sig, out);
     }
     if rules.lock_discipline {
         let view = crate::ast::View::new(&tokens, &sig);
         let ast = crate::ast::parse(view);
-        crate::locks::scan(file, view, &ast, &mut raw);
+        crate::locks::scan(file, view, &ast, out);
     }
 
-    // 4. Error enums / impls / assertions (crate-level aggregation).
+    // Error enums / impls / assertions (crate-level aggregation).
     collect_error_items(&tokens, &sig, &mut report);
-
-    // 5. Apply the allowlist.
-    for v in raw {
-        let allow = report
-            .allows
-            .iter_mut()
-            .find(|a| a.rule == v.rule && (a.line == v.line || a.line + 1 == v.line));
-        match allow {
-            Some(a) => a.used += 1,
-            None => report.violations.push(v),
-        }
-    }
     report
-}
-
-/// Parses `audit: allow(rule, reason)` out of a comment's text.
-fn parse_allow(comment: &str) -> Option<Allow> {
-    let at = comment.find("audit:")?;
-    let rest = comment[at + "audit:".len()..]
-        .trim_start()
-        .strip_prefix("allow(")?;
-    let close = rest.rfind(')')?;
-    let inner = &rest[..close];
-    let (rule_name, reason) = match inner.split_once(',') {
-        Some((r, why)) => (r.trim(), why.trim()),
-        None => (inner.trim(), ""),
-    };
-    Some(Allow {
-        rule: Rule::from_name(rule_name)?,
-        reason: reason.to_string(),
-        file: PathBuf::new(),
-        line: 0,
-        used: 0,
-    })
 }
 
 /// Lexes `source` and returns the token list together with the indices
@@ -409,8 +294,9 @@ fn skip_attributed_item(tokens: &[Token], all: &[usize], k: usize) -> usize {
 
 /// Flags `thread::spawn`, `thread::scope` and `thread::Builder` in
 /// non-test library code: every unit-granular task must run on the
-/// shared `ScanExecutor` pool (whose own `pool.rs` is exempt at the
-/// crate-wiring level).
+/// shared `ScanExecutor` pool (the files in
+/// `THREAD_DISCIPLINE_EXEMPT_PATHS` are exempt at the crate-wiring
+/// level).
 fn scan_thread_spawns(file: &Path, tokens: &[Token], sig: &[usize], out: &mut Vec<Violation>) {
     let text = |j: usize| sig.get(j).map(|&i| tokens[i].text.as_str());
     for j in 0..sig.len() {
@@ -514,17 +400,6 @@ mod tests {
                 ..RuleSet::default()
             },
         )
-    }
-
-    #[test]
-    fn allow_comment_waives_and_is_counted() {
-        let r = audit(
-            "fn f() {\n    // audit: allow(thread-discipline, long-lived I/O loop)\n    std::thread::spawn(g);\n}\n",
-        );
-        assert!(r.violations.is_empty());
-        assert_eq!(r.allows.len(), 1);
-        assert_eq!(r.allows[0].used, 1);
-        assert_eq!(r.allows[0].reason, "long-lived I/O loop");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Known-bad fixture for rule `lock-discipline` (lock ordering): the
-//! declared order is `log → zones → failures → units`; acquiring against it
+//! declared order is `zones → failures → units`; acquiring against it
 //! while a guard is held must fire.
 
 pub struct Store {
-    log: Lock,
+    zones: Lock,
     failures: Lock,
     units: Lock,
 }
@@ -28,9 +28,9 @@ impl Store {
     }
 
     pub fn full_chain(&self) {
-        let l = self.log.lock();
+        let z = self.zones.read();
         let f = self.failures.read();
-        let u = self.units.write(); // quiet: log → (zones →) failures → units
-        observe_all(&l, &f, &u);
+        let u = self.units.write(); // quiet: zones → failures → units
+        observe_all(&z, &f, &u);
     }
 }

@@ -89,7 +89,7 @@ pub mod prelude {
     //! `proptest::prelude`.
 
     pub use crate as prop;
-    pub use crate::strategy::{any, BoxedStrategy, Just, Strategy};
+    pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
     pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }

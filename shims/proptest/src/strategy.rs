@@ -182,7 +182,7 @@ macro_rules! impl_arbitrary_via_standard {
         }
     )*};
 }
-impl_arbitrary_via_standard!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool, f64);
+impl_arbitrary_via_standard!(u8, u32, u64, i64, bool);
 
 macro_rules! impl_range_strategy {
     ($($t:ty),*) => {$(
@@ -200,7 +200,7 @@ macro_rules! impl_range_strategy {
         }
     )*};
 }
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_range_strategy!(u8, u32, u64, usize, i32, i64, f32, f64);
 
 macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
@@ -220,12 +220,8 @@ impl_tuple_strategy!(A, B, C);
 impl_tuple_strategy!(A, B, C, D);
 impl_tuple_strategy!(A, B, C, D, E);
 impl_tuple_strategy!(A, B, C, D, E, F);
-impl_tuple_strategy!(A, B, C, D, E, F, G);
 impl_tuple_strategy!(A, B, C, D, E, F, G, H);
 impl_tuple_strategy!(A, B, C, D, E, F, G, H, I);
-impl_tuple_strategy!(A, B, C, D, E, F, G, H, I, J);
-impl_tuple_strategy!(A, B, C, D, E, F, G, H, I, J, K);
-impl_tuple_strategy!(A, B, C, D, E, F, G, H, I, J, K, L);
 
 /// Uniform choice among equally weighted strategies with a common value
 /// type. All arms are boxed; mirrors `proptest::prop_oneof!`.

@@ -53,12 +53,6 @@ pub trait Rng: RngCore {
 
 impl<T: RngCore> Rng for T {}
 
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
 /// Maps 64 random bits onto `[0, 1)` with 53-bit precision.
 fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / ((1u64 << 53) as f64))
@@ -81,24 +75,11 @@ macro_rules! impl_standard_int {
         }
     )*};
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_standard_int!(u8, u32, u64, i64);
 
 impl Standard for bool {
     fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Standard for f64 {
-    fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
-        unit_f64(rng.next_u64())
-    }
-}
-
-impl Standard for f32 {
-    #[allow(clippy::cast_possible_truncation)]
-    fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
-        unit_f64(rng.next_u64()) as f32
     }
 }
 
@@ -141,10 +122,7 @@ macro_rules! impl_sample_uniform_int {
         }
     )*};
 }
-impl_sample_uniform_int!(
-    u8 => u8, u16 => u16, u32 => u32, u64 => u64, usize => usize,
-    i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize
-);
+impl_sample_uniform_int!(u8 => u8, u32 => u32, u64 => u64, usize => usize, i32 => u32, i64 => u64);
 
 macro_rules! impl_sample_uniform_float {
     ($($t:ty),*) => {$(

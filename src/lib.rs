@@ -4,7 +4,7 @@
 //! depend on `blot` alone:
 //!
 //! * [`core`] — the paper's contribution: cost model, replica
-//!   selection, query routing, recovery, adaptation
+//!   selection, query routing, recovery
 //!   (start with [`core::prelude`]);
 //! * [`geo`] — spatio-temporal geometry;
 //! * [`model`] — the logical record model;
