@@ -21,6 +21,7 @@
 
 mod args;
 mod manifest;
+mod stats;
 
 use blot_core::prelude::*;
 use blot_json::Json;
@@ -533,51 +534,45 @@ fn parse_band(args: &Args) -> Result<DriftBand, String> {
     })
 }
 
-// The server's `Stats` reply and the local path must render drift
-// identically, so the JSON shape lives in `blot_server::stats`.
-use blot_server::stats::drift_to_json;
-
-/// Runs a deterministic probe workload (centroid queries of shrinking
-/// extent alternating with "everything since T" tail probes of
-/// shrinking tail, plus one scrub pass) against an existing store and
-/// reports the collected metrics and the cost-model drift per encoding
-/// scheme. The tail probes are the zone-map-sensitive half: on a store
+/// `blot stats`: the stats document of a store or a server, as text or
+/// (`--json`) as the document itself. Remotely it is the server's
+/// `Stats` reply; locally it is the same document
+/// (`blot_server::stats::document`) built after a deterministic probe
+/// workload — centroid queries of shrinking extent alternating with
+/// "everything since T" tail probes of shrinking tail, plus one scrub
+/// pass. The tail probes are the zone-map-sensitive half: on a store
 /// whose units carry footers they prune, which is exactly the workload
 /// shape whose measured cost drifts away from the Eq. 6 prediction.
-/// `blot stats --remote ADDR`: fetch the server's `Stats` reply and
-/// render the same text/JSON the local path produces.
-fn cmd_stats_remote(args: &Args, addr: &str) -> Result<(), String> {
-    let band = if args.get("band").is_some() {
-        Some(parse_band(args)?)
-    } else {
-        None
-    };
-    let mut client =
-        blot_server::Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let json = client.stats(band).map_err(|e| e.to_string())?;
-    let doc = Json::parse(&json).map_err(|e| format!("server sent invalid stats JSON: {e}"))?;
-    if args.has("json") {
-        // Drop the pre-rendered text: the JSON consumer has the
-        // structured fields.
-        let filtered = match doc {
-            Json::Obj(pairs) => Json::Obj(pairs.into_iter().filter(|(k, _)| k != "text").collect()),
-            other => other,
+fn cmd_stats(args: &Args) -> Result<(), String> {
+    let (doc, damaged) = if let Some(addr) = args.get("remote") {
+        let band = if args.get("band").is_some() {
+            Some(parse_band(args)?)
+        } else {
+            None
         };
-        pipe_println(&filtered.to_string());
+        let mut client =
+            blot_server::Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
+        let json = client.stats(band).map_err(|e| e.to_string())?;
+        let doc = Json::parse(&json).map_err(|e| format!("server sent invalid stats JSON: {e}"))?;
+        (doc, 0)
+    } else {
+        probe_stats(args)?
+    };
+    if args.has("json") {
+        pipe_println(&doc.to_string());
         return Ok(());
     }
-    let text = doc
-        .get("text")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "stats reply carries no text rendering".to_owned())?;
-    pipe_println(text.trim_end());
+    pipe_println(stats::to_text(&doc).trim_end());
+    if damaged > 0 {
+        pipe_println(&format!("note: scrub found {damaged} damaged units"));
+    }
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
-    if let Some(addr) = args.get("remote") {
-        return cmd_stats_remote(args, addr);
-    }
+/// The local half of `blot stats`: runs the probe workload on the
+/// store and returns its stats document and how many units the scrub
+/// found damaged.
+fn probe_stats(args: &Args) -> Result<(Json, usize), String> {
     let store = open_store(args)?;
     let rounds = args.get_parsed::<u32>("queries")?.unwrap_or(12);
     let band = parse_band(args)?;
@@ -618,51 +613,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("probe query failed: {e}"))?;
     }
     let damaged = store.scrub().map_err(|e| format!("scrub failed: {e}"))?;
-    let snapshot = store.metrics_snapshot();
-    let drift = store.drift_report(band);
-    if args.has("json") {
-        let metrics = Json::parse(&snapshot.to_json())
-            .map_err(|e| format!("internal error: metrics snapshot is not valid JSON: {e}"))?;
-        let doc = Json::obj([
-            ("enabled", Json::Bool(blot_obs::enabled())),
-            ("metrics", metrics),
-            ("drift", drift_to_json(&drift)),
-        ]);
-        pipe_println(&doc.to_string());
-        return Ok(());
-    }
-    if !blot_obs::enabled() {
-        pipe_println("metrics are compiled out (blot-obs `off` feature)");
-    }
-    pipe_println(snapshot.render_text().trim_end());
-    pipe_println("");
-    pipe_println(&format!(
-        "cost-model drift (median predicted/actual, band [{}, {}], min {} samples):",
-        drift.band.lo, drift.band.hi, drift.band.min_samples
-    ));
-    for row in &drift.schemes {
-        if row.samples == 0 {
-            continue;
-        }
-        pipe_println(&format!(
-            "  {:<12} {:>6} samples  median {:>8.3}  mean {:>8.3}  {}",
-            row.scheme.metric_label(),
-            row.samples,
-            row.median_ratio,
-            row.mean_ratio,
-            if row.flagged { "DRIFTED" } else { "ok" }
-        ));
-    }
-    if drift.schemes.iter().all(|s| s.samples == 0) {
-        pipe_println("  (no drift samples)");
-    }
-    if !damaged.is_empty() {
-        pipe_println(&format!(
-            "note: scrub found {} damaged units",
-            damaged.len()
-        ));
-    }
-    Ok(())
+    let doc =
+        blot_server::stats::document(&store.metrics_snapshot(), &store.drift_report(band), None);
+    Ok((Json::Obj(doc), damaged.len()))
 }
 
 /// One span of the canonical span-JSON array: what
@@ -867,8 +820,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// `blot serve`: run the TCP serving layer over a store directory.
 ///
 /// The workspace forbids `unsafe`, so there is no SIGTERM handler;
-/// shutdown is cooperative — EOF or a `quit`/`stop` line on stdin trips
-/// the latch, then the server drains in-flight requests and exits 0.
+/// shutdown is cooperative — after EOF or a `quit`/`stop` line on stdin
+/// the server drains in-flight requests and the command exits 0.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let store = open_store(args)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7407");
@@ -900,29 +853,16 @@ fn serve_until_quit(server: blot_server::Server, what: &str) -> Result<(), Strin
         "{what} on {} — EOF or `quit` on stdin shuts down",
         server.local_addr()
     ));
-    let flag = server.shutdown_flag();
-    {
-        let flag = flag.clone();
-        // Watcher thread: lives for the process; detached on exit.
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match stdin.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        let word = line.trim();
-                        if word.eq_ignore_ascii_case("quit") || word.eq_ignore_ascii_case("stop") {
-                            break;
-                        }
-                    }
-                }
-            }
-            flag.trigger();
-        });
+    // The server runs on its own threads; this one just reads stdin
+    // until EOF (or a read error) or a `quit`/`stop` line.
+    let mut line = String::new();
+    while matches!(std::io::stdin().read_line(&mut line), Ok(n) if n > 0) {
+        let word = line.trim();
+        if word.eq_ignore_ascii_case("quit") || word.eq_ignore_ascii_case("stop") {
+            break;
+        }
+        line.clear();
     }
-    flag.wait();
     pipe_println("shutting down — draining in-flight requests");
     let report = server.shutdown(std::time::Duration::from_secs(30));
     let served = report.snapshot.counter("server.requests").unwrap_or(0);
@@ -975,7 +915,7 @@ fn cmd_route_serve(args: &Args) -> Result<(), String> {
         router_config.pool.conns_per_shard = n.max(1);
     }
     if let Some(n) = args.get_parsed::<u32>("shard-retries")? {
-        router_config.pool.shard_retries = n;
+        router_config.pool.client.max_retries = n;
     }
     let n_shards = map.len();
     let service = RouterService::new(map, router_config).map_err(|e| e.to_string())?;
@@ -998,6 +938,56 @@ fn cmd_route_serve(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Local, served and coordinator stats are one document shape, so
+    /// pinning what documents render as pins all three: aligned metric
+    /// tables (or a placeholder), the pruning line, the drift table,
+    /// and a coordinator's shard lines.
+    #[test]
+    fn one_stats_document_renders_as_tables_drift_and_shards() {
+        let doc = Json::parse(
+            r#"{"enabled":true,
+                "metrics":{"counters":{"a":1,"store.queries":12},"gauges":{"g":-2},
+                           "histograms":{"bb":{"count":3,"sum":3,"mean":1,"p50":0.5,"p90":1.25,"p99":2}}},
+                "pruning":{"units_skipped":4,"bytes_skipped":4096},
+                "drift":{"band":{"lo":0.5,"hi":2,"min_samples":8},"calibrated":false,
+                         "schemes":[{"scheme":"row-lzf","samples":9,"median_ratio":3.5,"mean_ratio":3.25,"flagged":true},
+                                    {"scheme":"col-deflate","samples":0,"median_ratio":0,"mean_ratio":0,"flagged":false}]},
+                "coordinator":true,
+                "shards":[{"shard":0,"addr":"h:1","ok":true,"stats":{"pruning":{"units_skipped":3,"bytes_skipped":7}}},
+                          {"shard":1,"addr":"h:2","ok":false,"error":"refused"}]}"#,
+        )
+        .expect("valid stats JSON");
+        assert_eq!(
+            stats::to_text(&doc),
+            "counters:\n\
+             \x20 a              1\n\
+             \x20 store.queries  12\n\
+             gauges:\n\
+             \x20 g              -2\n\
+             histograms (count / mean / p50 / p90 / p99):\n\
+             \x20 bb             3  1.000  0.500  1.250  2.000\n\
+             \n\
+             zone-map pruning: 4 units skipped, 4096 bytes never fetched\n\
+             \n\
+             cost-model drift (median predicted/actual, band [0.5, 2], min 8 samples):\n\
+             \x20 row-lzf           9 samples  median    3.500  mean    3.250  DRIFTED\n\
+             \n\
+             shards:\n\
+             \x20 shard 0 h:1: ok (3 units / 7 bytes pruned)\n\
+             \x20 shard 1 h:2: UNAVAILABLE (refused)\n"
+        );
+
+        let empty = Json::parse(
+            r#"{"enabled":false,"metrics":{"counters":{},"gauges":{},"histograms":{}}}"#,
+        )
+        .expect("valid stats JSON");
+        let text = stats::to_text(&empty);
+        assert!(text.starts_with("metrics are compiled out"), "{text}");
+        assert!(text.contains("(no metrics recorded)"), "{text}");
+        assert!(text.contains("(no drift samples)"), "{text}");
+        assert!(!text.contains("shards:"), "{text}");
+    }
 
     /// `--store` and `--remote` both hand the renderers a span-JSON
     /// document, so pinning what one document renders as pins both:

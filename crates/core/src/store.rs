@@ -1340,9 +1340,6 @@ pub trait QueryService: Send + Sync {
         None
     }
 
-    /// The data universe (used to validate / clamp remote queries).
-    fn universe(&self) -> Cuboid;
-
     /// The scan executor the service runs on, so graceful shutdown can
     /// drain it after the last request completes.
     fn executor(&self) -> Arc<ScanExecutor>;
@@ -1371,10 +1368,6 @@ impl<B: Backend + 'static> QueryService for BlotStore<B> {
 
     fn drift_report(&self, band: DriftBand) -> DriftReport {
         BlotStore::drift_report(self, band)
-    }
-
-    fn universe(&self) -> Cuboid {
-        BlotStore::universe(self)
     }
 
     fn executor(&self) -> Arc<ScanExecutor> {

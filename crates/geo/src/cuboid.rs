@@ -92,20 +92,6 @@ impl Cuboid {
         (0..3).all(|a| self.min.axis(a) <= p.axis(a) && p.axis(a) <= self.max.axis(a))
     }
 
-    /// Whether the point lies inside, treating the maximum face of each
-    /// axis as exclusive unless `upper_closed[axis]` is set.
-    ///
-    /// Partitioners use this to assign boundary records to exactly one
-    /// partition: interior boundaries are half-open, universe boundaries
-    /// closed.
-    #[must_use]
-    pub fn contains_point_half_open(&self, p: &Point, upper_closed: [bool; 3]) -> bool {
-        upper_closed.iter().enumerate().all(|(a, &closed)| {
-            let v = p.axis(a);
-            v >= self.min.axis(a) && (v < self.max.axis(a) || (closed && v <= self.max.axis(a)))
-        })
-    }
-
     /// Whether `other` lies entirely within this cuboid.
     #[must_use]
     pub fn contains_cuboid(&self, other: &Self) -> bool {
@@ -254,22 +240,6 @@ mod tests {
         assert!(!inner.contains_cuboid(&a));
         assert!(a.contains_point(&Point::new(1.0, 1.0, 1.0)));
         assert!(!a.contains_point(&Point::new(1.0001, 1.0, 1.0)));
-    }
-
-    #[test]
-    fn half_open_containment_assigns_boundary_once() {
-        let (lo, hi) = unit().split_at(0, 0.5);
-        let p = Point::new(0.5, 0.2, 0.2);
-        let in_lo = lo.contains_point_half_open(&p, [false, false, false]);
-        let in_hi = hi.contains_point_half_open(&p, [false, false, false]);
-        assert!(
-            !in_lo && in_hi,
-            "boundary point must fall in exactly one half"
-        );
-        // Universe max face closed.
-        let p_max = Point::new(1.0, 0.2, 0.2);
-        assert!(hi.contains_point_half_open(&p_max, [true, false, false]));
-        assert!(!hi.contains_point_half_open(&p_max, [false, false, false]));
     }
 
     #[test]

@@ -51,11 +51,9 @@
 // do for the panic lints in clippy.toml.
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
-mod grid;
 mod json;
 mod partition;
 mod scheme;
 
-pub use grid::{skew, GridScheme};
 pub use partition::Partition;
 pub use scheme::{PartitioningScheme, SchemeSpec, UnknownPartition};

@@ -86,12 +86,6 @@ impl Problem {
         self.num_vars
     }
 
-    /// Number of constraint rows.
-    #[must_use]
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// The constraint rows.
     #[must_use]
     pub fn constraints(&self) -> &[Constraint] {

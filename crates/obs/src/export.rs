@@ -1,4 +1,4 @@
-//! Snapshot rendering: aligned text tables and JSON.
+//! Snapshot rendering as JSON (the CLI renders that JSON as text).
 //!
 //! The JSON emitter is local to this crate on purpose: `blot-obs` sits
 //! below every other workspace crate (including `blot-json`), and the
@@ -84,50 +84,6 @@ impl Snapshot {
         out.push_str("}}");
         out
     }
-
-    /// Renders the snapshot as an aligned, human-readable table.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let width = self
-            .counters
-            .iter()
-            .map(|(n, _)| n.len())
-            .chain(self.gauges.iter().map(|(n, _)| n.len()))
-            .chain(self.histograms.iter().map(|(n, _)| n.len()))
-            .max()
-            .unwrap_or(0);
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "counters:");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<width$}  {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<width$}  {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(out, "histograms (count / mean / p50 / p90 / p99):");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<width$}  {}  {:.3}  {:.3}  {:.3}  {:.3}",
-                    h.count(),
-                    h.mean(),
-                    h.quantile(0.5),
-                    h.quantile(0.9),
-                    h.quantile(0.99)
-                );
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -155,25 +111,8 @@ mod tests {
             "{json}"
         );
         assert!(json.ends_with("}}"), "{json}");
-    }
-
-    #[test]
-    fn text_table_lists_every_metric() {
-        let r = crate::MetricsRegistry::new();
-        r.counter("a").inc();
-        r.histogram("bb").record(1.0);
-        let text = r.snapshot().render_text();
-        assert!(text.contains("counters:"));
-        assert!(text.contains("histograms"));
-        assert!(text.contains("bb"));
-    }
-
-    #[test]
-    fn empty_snapshot_renders_placeholder() {
-        let s = Snapshot::default();
-        assert!(s.render_text().contains("no metrics"));
         assert_eq!(
-            s.to_json(),
+            Snapshot::default().to_json(),
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
     }

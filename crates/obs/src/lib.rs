@@ -10,11 +10,12 @@
 //! * [`Span`] — RAII wall-time measurement into a histogram
 //!   (monotonic [`std::time::Instant`] timing);
 //! * [`MetricsRegistry`] — names instruments and produces [`Snapshot`]s
-//!   with text-table and JSON rendering;
+//!   that render as JSON;
 //! * [`trace`] — structured query tracing: [`TraceSpan`] trees with
 //!   wire-propagable [`SpanContext`]s, recorded into a bounded
-//!   [`FlightRecorder`] ring with text / JSON / Chrome `trace_event`
-//!   exporters.
+//!   [`FlightRecorder`] ring and exported as JSON.
+//!
+//! Text views of both JSON documents are the `blot` CLI's job.
 //!
 //! # Design rules
 //!

@@ -19,7 +19,8 @@ pub struct ServerMetrics {
     /// (`server.connections_accepted`).
     pub accepted: Counter,
     /// Connections turned away at the accept loop because the handler
-    /// pool was full (`server.connections_rejected`).
+    /// pool was full — `min(max_conns, handlers)` connections open
+    /// (`server.connections_rejected`).
     pub rejected: Counter,
     /// Queries currently waiting in the admission queue
     /// (`server.queue_depth`).

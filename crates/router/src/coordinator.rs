@@ -18,12 +18,13 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blot_core::obs::DriftBand;
-use blot_geo::{Cuboid, Point};
+use blot_core::obs::{DriftBand, DriftReport};
+use blot_geo::Cuboid;
 use blot_json::Json;
 use blot_model::RecordBatch;
 use blot_obs::trace::TraceSpan;
 use blot_obs::{names, FlightRecorder, MetricsRegistry, RouterMetrics, SpanContext};
+use blot_server::stats;
 use blot_storage::ScanExecutor;
 
 use crate::error::RouterError;
@@ -33,10 +34,10 @@ use crate::shardmap::ShardMap;
 /// Tuning for a coordinator.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Connection pool and per-shard retry policy.
+    /// Connection pool, and the client config its workers retry with.
     pub pool: PoolConfig,
     /// Deadline for all shards of one query to reply, measured from
-    /// dispatch. Generous by default: the pool's own I/O timeouts and
+    /// dispatch. Generous by default: the clients' I/O timeouts and
     /// retry caps bound each leg well below this.
     pub gather_timeout: Duration,
     /// Flight-recorder ring capacity (spans).
@@ -126,14 +127,6 @@ struct Pending {
     started: Instant,
 }
 
-impl std::fmt::Debug for Pending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pending")
-            .field("legs", &self.legs.len())
-            .finish()
-    }
-}
-
 impl Coordinator {
     /// Builds a coordinator over `map` and spawns its connection pool.
     /// Shard connections are opened lazily on first use, so shards may
@@ -182,15 +175,6 @@ impl Coordinator {
     #[must_use]
     pub fn executor(&self) -> &Arc<ScanExecutor> {
         &self.executor
-    }
-
-    /// A universe covering everything the map can route: the shard
-    /// layer has no record bounds of its own, so the coordinator
-    /// advertises an effectively unbounded (finite) cuboid.
-    #[must_use]
-    pub fn universe(&self) -> Cuboid {
-        const BIG: f64 = 1e18;
-        Cuboid::new(Point::new(-BIG, -BIG, -BIG), Point::new(BIG, BIG, BIG))
     }
 
     /// Scatter-gathers one range query. See the module docs for merge
@@ -452,10 +436,11 @@ impl Coordinator {
         })
     }
 
-    /// Aggregates the coordinator's own instruments with every shard's
-    /// `Stats` document into one JSON view: `shard_map`, router
-    /// `metrics`, summed `pruning` counters, per-shard docs under
-    /// `shards`, and a pre-rendered `text` table.
+    /// The stats document of a single server (`blot_server::stats`),
+    /// over the coordinator's own instruments, extended with every
+    /// shard's: `pruning` is the shards' sum, `coordinator` is `true`,
+    /// `shard_map` is the map, and `shards` holds each shard's document
+    /// or its error.
     #[must_use]
     pub fn stats_json(&self, band: Option<DriftBand>) -> String {
         let (tx, rx) = std::sync::mpsc::channel();
@@ -484,67 +469,46 @@ impl Coordinator {
         let mut units_skipped = 0u64;
         let mut bytes_skipped = 0u64;
         let mut shard_docs = Vec::with_capacity(docs.len());
-        let mut text = String::new();
-        let snapshot = self.registry.snapshot();
-        if !blot_obs::enabled() {
-            text.push_str("metrics are compiled out (blot-obs `off` feature)\n");
-        }
-        text.push_str(snapshot.render_text().trim_end());
-        text.push_str("\n\nshards:\n");
-        for (shard, outcome) in &docs {
-            let addr = self.map.addr(*shard).unwrap_or("?");
+        for (shard, outcome) in docs {
+            let mut entry = vec![
+                ("shard".to_owned(), Json::Num(f64::from(shard))),
+                (
+                    "addr".to_owned(),
+                    Json::Str(self.map.addr(shard).unwrap_or("?").to_owned()),
+                ),
+                ("ok".to_owned(), Json::Bool(outcome.is_ok())),
+            ];
             match outcome {
                 Ok(doc) => {
-                    let parsed = Json::parse(doc).unwrap_or_else(|_| Json::Obj(Vec::new()));
-                    let pruning = parsed.get("pruning");
-                    let u = pruning
-                        .and_then(|p| p.get("units_skipped"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
-                    let b = pruning
-                        .and_then(|p| p.get("bytes_skipped"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
-                    units_skipped = units_skipped.saturating_add(u);
-                    bytes_skipped = bytes_skipped.saturating_add(b);
-                    text.push_str(&format!(
-                        "  shard {shard} {addr}: ok ({u} units / {b} bytes pruned)\n"
-                    ));
-                    shard_docs.push(Json::obj([
-                        ("shard", Json::Num(f64::from(*shard))),
-                        ("addr", Json::Str(addr.to_owned())),
-                        ("ok", Json::Bool(true)),
-                        ("stats", parsed),
-                    ]));
+                    let parsed = Json::parse(&doc).unwrap_or_else(|_| Json::Obj(Vec::new()));
+                    let skipped = |key| {
+                        parsed
+                            .get("pruning")
+                            .and_then(|p| p.get(key))
+                            .and_then(Json::as_u64)
+                            .unwrap_or(0)
+                    };
+                    units_skipped = units_skipped.saturating_add(skipped("units_skipped"));
+                    bytes_skipped = bytes_skipped.saturating_add(skipped("bytes_skipped"));
+                    entry.push(("stats".to_owned(), parsed));
                 }
-                Err(detail) => {
-                    text.push_str(&format!("  shard {shard} {addr}: UNAVAILABLE ({detail})\n"));
-                    shard_docs.push(Json::obj([
-                        ("shard", Json::Num(f64::from(*shard))),
-                        ("addr", Json::Str(addr.to_owned())),
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(detail.clone())),
-                    ]));
-                }
+                Err(detail) => entry.push(("error".to_owned(), Json::Str(detail))),
             }
+            shard_docs.push(Json::Obj(entry));
         }
-        let metrics = Json::parse(&snapshot.to_json()).unwrap_or_else(|_| Json::Obj(Vec::new()));
-        #[allow(clippy::cast_precision_loss)]
-        let doc = Json::obj([
-            ("enabled", Json::Bool(blot_obs::enabled())),
-            ("coordinator", Json::Bool(true)),
-            ("shard_map", self.map.to_json()),
-            ("metrics", metrics),
-            (
-                "pruning",
-                Json::obj([
-                    ("units_skipped", Json::Num(units_skipped as f64)),
-                    ("bytes_skipped", Json::Num(bytes_skipped as f64)),
-                ]),
-            ),
-            ("shards", Json::Arr(shard_docs)),
-            ("text", Json::Str(text)),
+        // The coordinator scans nothing itself: its pruning is what its
+        // shards saved, and drift lives in each shard's document.
+        let no_drift = DriftReport::from_samples(band.unwrap_or_default(), []);
+        let mut doc = stats::document(
+            &self.registry.snapshot(),
+            &no_drift,
+            Some((units_skipped, bytes_skipped)),
+        );
+        doc.extend([
+            ("coordinator".to_owned(), Json::Bool(true)),
+            ("shard_map".to_owned(), self.map.to_json()),
+            ("shards".to_owned(), Json::Arr(shard_docs)),
         ]);
-        doc.to_string()
+        Json::Obj(doc).to_string()
     }
 }

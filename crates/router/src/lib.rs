@@ -11,7 +11,9 @@
 //!   axis cuts), and `fanout` names every shard a query cuboid could
 //!   match.
 //! * [`Coordinator`] — scatter-gather over the existing wire protocol
-//!   via per-shard connection pools with retry/backoff; merges
+//!   via per-shard connection pools whose workers each ask through one
+//!   `blot_server::Client`, so a shard leg retries exactly as any
+//!   client does ([`PoolConfig::client`]); merges
 //!   ROW-PLAIN results into canonical `(oid, time)` order,
 //!   bit-identical to a single-store execution; all-or-nothing
 //!   failure with structured, retry-hinted errors.

@@ -1,18 +1,18 @@
 //! The per-shard connection pool.
 //!
 //! Every shard gets `conns_per_shard` persistent worker threads, each
-//! owning (at most) one [`Client`] connection to that shard. Jobs are
-//! dispatched over a per-shard channel whose receiver the workers
-//! share behind a [`Mutex`] — the worker holding the lock blocks in
-//! `recv`, hands the lock over once it has a job, and executes
-//! outside the lock, so a shard's connections drain its queue
-//! concurrently.
+//! owning one [`Client`] to that shard, made without connecting so the
+//! shard may come up after the coordinator. Jobs are dispatched over a
+//! per-shard channel whose receiver the workers share behind a
+//! [`Mutex`] — the worker holding the lock blocks in `recv`, hands the
+//! lock over once it has a job, and executes outside the lock, so a
+//! shard's connections drain its queue concurrently.
 //!
-//! Retry policy lives here, per sub-query: transport errors tear the
-//! connection down and reconnect; `Overloaded` / `ShardUnavailable`
-//! replies honour the server's retry-after hint (capped); fatal wire
-//! errors surface immediately. A worker always sends a reply — success
-//! or structured failure — so the gather side never hangs on a dead
+//! The retry policy is the client's ([`Client::query_traced`]): a shed
+//! sub-query waits out the shard's retry-after hint, a transport error
+//! reconnects, both with capped backoff, and a fatal wire error
+//! surfaces at once. A worker always sends a reply — success or
+//! structured failure — so the gather side never hangs on a dead
 //! shard; at worst it waits out the bounded I/O timeouts.
 
 use std::sync::mpsc::{Receiver, Sender};
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use blot_core::obs::DriftBand;
 use blot_geo::Cuboid;
 use blot_obs::SpanContext;
-use blot_server::client::{disposition, Client, ClientConfig, Disposition};
+use blot_server::client::{Client, ClientConfig, ClientError};
 use blot_server::wire::RemoteQueryResult;
 use blot_storage::sync::Mutex;
 
@@ -34,30 +34,25 @@ use crate::shardmap::ShardMap;
 /// (connection refused, reset mid-reply, gather timeout).
 pub const DEFAULT_RETRY_HINT_MS: u32 = 100;
 
-/// Pause between reconnect attempts after a transport error, so a
-/// crashed shard is probed, not hammered.
-const RECONNECT_PAUSE: Duration = Duration::from_millis(20);
-
-/// Tuning for the pool and its retry policy.
+/// Tuning for the pool.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads (= max in-flight sub-queries) per shard.
     pub conns_per_shard: usize,
-    /// Extra attempts per sub-query after the first fails retryably.
-    pub shard_retries: u32,
-    /// Per-read/write transport timeout on shard connections.
-    pub io_timeout: Duration,
-    /// Ceiling on a single retry wait, whatever the shard's hint says.
-    pub retry_backoff_cap: Duration,
+    /// Each worker's client: I/O timeout, retries per sub-query
+    /// (`blot route serve --shard-retries`) and backoff ceiling.
+    pub client: ClientConfig,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         Self {
             conns_per_shard: 2,
-            shard_retries: 2,
-            io_timeout: Duration::from_secs(10),
-            retry_backoff_cap: Duration::from_millis(500),
+            client: ClientConfig {
+                io_timeout: Duration::from_secs(10),
+                max_retries: 2,
+                max_backoff: Duration::from_millis(500),
+            },
         }
     }
 }
@@ -102,15 +97,6 @@ pub(crate) enum Job {
     },
 }
 
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Query { range, .. } => f.debug_struct("Query").field("range", range).finish(),
-            Self::Stats { .. } => f.debug_struct("Stats").finish(),
-        }
-    }
-}
-
 /// The pool: one job channel per shard, fanned over that shard's
 /// workers.
 #[derive(Debug)]
@@ -134,11 +120,10 @@ impl ShardPool {
             let rx = Arc::new(Mutex::new(rx));
             for conn in 0..config.conns_per_shard.max(1) {
                 let rx = Arc::clone(&rx);
-                let addr = addr.clone();
-                let config = config.clone();
+                let client = Client::new(addr, config.client.clone());
                 let handle = std::thread::Builder::new()
                     .name(format!("blot-shard{shard}-c{conn}"))
-                    .spawn(move || worker_loop(shard, &addr, &config, &rx))
+                    .spawn(move || worker_loop(shard, client, &rx))
                     .map_err(RouterError::Spawn)?;
                 workers.push(handle);
             }
@@ -185,9 +170,8 @@ fn deliver<T>(reply: &Sender<T>, msg: T) {
 }
 
 /// One worker: pull jobs off the shared receiver, run them against the
-/// shard with retry/backoff, always reply.
-fn worker_loop(shard: u32, addr: &str, config: &PoolConfig, rx: &Mutex<Receiver<Job>>) {
-    let mut client: Option<Client> = None;
+/// shard through its client, always reply.
+fn worker_loop(shard: u32, mut client: Client, rx: &Mutex<Receiver<Job>>) {
     loop {
         // Blocking in `recv` while holding the lock is deliberate: at
         // most one idle worker camps on the channel, and it releases
@@ -204,140 +188,42 @@ fn worker_loop(shard: u32, addr: &str, config: &PoolConfig, rx: &Mutex<Receiver<
                 dispatched,
                 reply,
             } => {
-                let (outcome, retries) = run_query(&mut client, addr, config, &range, ctx);
+                let before = client.retries();
+                let outcome = client.query_traced(&range, ctx).map_err(failure);
                 deliver(
                     &reply,
                     ShardReply {
                         shard,
                         outcome,
-                        retries,
+                        retries: u32::try_from(client.retries() - before).unwrap_or(u32::MAX),
                         wall_ms: dispatched.elapsed().as_secs_f64() * 1e3,
                     },
                 );
             }
+            // One attempt: stats are advisory, and a failed fetch has
+            // dropped the connection, so the next one reconnects.
             Job::Stats { band, reply } => {
-                let outcome = run_stats(&mut client, addr, config, band);
-                deliver(&reply, (shard, outcome));
+                deliver(&reply, (shard, client.stats(band).map_err(failure)));
             }
         }
     }
 }
 
-fn connect(addr: &str, config: &PoolConfig) -> Result<Client, String> {
-    // Per-attempt retries are handled here (where the coordinator can
-    // see them), so the inner client performs none of its own.
-    let cc = ClientConfig {
-        io_timeout: config.io_timeout,
-        max_retries: 0,
-        max_backoff: config.retry_backoff_cap,
+/// How a shard's failure reads to the coordinator: a reply retrying
+/// cannot fix is fatal; a query still shed on its last attempt is
+/// retryable after the shard's own hint; a transport fault is
+/// retryable after the default probe interval.
+fn failure(e: ClientError) -> ShardFailure {
+    let (retryable, retry_after_ms) = match &e {
+        ClientError::Server(_) => (false, 0),
+        ClientError::Exhausted { last, .. } => {
+            (true, last.retry_after_ms.max(DEFAULT_RETRY_HINT_MS))
+        }
+        _ => (true, DEFAULT_RETRY_HINT_MS),
     };
-    Client::connect_with(addr, cc).map_err(|e| e.to_string())
-}
-
-/// Executes one sub-query with the pool's retry policy. Returns the
-/// outcome and the number of retries spent.
-fn run_query(
-    client: &mut Option<Client>,
-    addr: &str,
-    config: &PoolConfig,
-    range: &Cuboid,
-    ctx: Option<SpanContext>,
-) -> (Result<RemoteQueryResult, ShardFailure>, u32) {
-    let mut retries = 0u32;
-    loop {
-        let attempt = (|| -> Result<Result<RemoteQueryResult, ShardFailure>, (String, u32)> {
-            let conn = match client.as_mut() {
-                Some(c) => c,
-                None => {
-                    let fresh = connect(addr, config).map_err(|e| (e, DEFAULT_RETRY_HINT_MS))?;
-                    client.insert(fresh)
-                }
-            };
-            match conn.query_once_traced(range, ctx) {
-                // Transport fault: the connection is suspect either way.
-                Err(e) => {
-                    *client = None;
-                    Err((e.to_string(), DEFAULT_RETRY_HINT_MS))
-                }
-                Ok(Ok(result)) => Ok(Ok(result)),
-                Ok(Err(wire)) => match disposition(wire.code) {
-                    Disposition::Fatal => Ok(Err(ShardFailure {
-                        retryable: false,
-                        retry_after_ms: 0,
-                        detail: wire.to_string(),
-                    })),
-                    Disposition::Reconnect => {
-                        *client = None;
-                        Err((wire.to_string(), 0))
-                    }
-                    Disposition::RetryAfterHint => {
-                        let hint = wire.retry_after_ms.max(1);
-                        Err((wire.to_string(), hint))
-                    }
-                },
-            }
-        })();
-        match attempt {
-            Ok(outcome) => return (outcome, retries),
-            Err((detail, hint)) => {
-                if retries >= config.shard_retries {
-                    return (
-                        Err(ShardFailure {
-                            retryable: true,
-                            retry_after_ms: hint.max(DEFAULT_RETRY_HINT_MS),
-                            detail,
-                        }),
-                        retries,
-                    );
-                }
-                retries = retries.saturating_add(1);
-                let wait = Duration::from_millis(u64::from(hint)).min(config.retry_backoff_cap);
-                let wait = wait.max(RECONNECT_PAUSE);
-                std::thread::sleep(wait);
-            }
-        }
+    ShardFailure {
+        retryable,
+        retry_after_ms,
+        detail: e.to_string(),
     }
-}
-
-/// Fetches one shard's `Stats` document (single attempt plus one
-/// reconnect; stats are advisory, not worth a backoff dance).
-fn run_stats(
-    client: &mut Option<Client>,
-    addr: &str,
-    config: &PoolConfig,
-    band: Option<DriftBand>,
-) -> Result<String, ShardFailure> {
-    for _ in 0..2u8 {
-        let conn = match client.as_mut() {
-            Some(c) => c,
-            None => match connect(addr, config) {
-                Ok(fresh) => client.insert(fresh),
-                Err(detail) => {
-                    return Err(ShardFailure {
-                        retryable: true,
-                        retry_after_ms: DEFAULT_RETRY_HINT_MS,
-                        detail,
-                    })
-                }
-            },
-        };
-        match conn.stats(band) {
-            Ok(doc) => return Ok(doc),
-            Err(e) => {
-                *client = None;
-                if let blot_server::client::ClientError::Server(wire) = &e {
-                    return Err(ShardFailure {
-                        retryable: false,
-                        retry_after_ms: 0,
-                        detail: wire.to_string(),
-                    });
-                }
-            }
-        }
-    }
-    Err(ShardFailure {
-        retryable: true,
-        retry_after_ms: DEFAULT_RETRY_HINT_MS,
-        detail: "stats fetch failed after reconnect".to_owned(),
-    })
 }

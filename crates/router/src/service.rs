@@ -84,18 +84,11 @@ impl QueryService for RouterService {
     fn drift_report(&self, band: DriftBand) -> DriftReport {
         // Drift is a per-shard, per-replica concern; the aggregated
         // view lives in `stats_json`'s per-shard documents.
-        DriftReport::from_samples(
-            band,
-            std::iter::empty::<(blot_codec::EncodingScheme, blot_obs::HistogramSnapshot)>(),
-        )
+        DriftReport::from_samples(band, [])
     }
 
     fn stats_json(&self, band: Option<DriftBand>) -> Option<String> {
         Some(self.inner.stats_json(band))
-    }
-
-    fn universe(&self) -> Cuboid {
-        self.inner.universe()
     }
 
     fn executor(&self) -> Arc<ScanExecutor> {

@@ -21,6 +21,11 @@
 #[path = "../../server/tests/support/mod.rs"]
 mod support;
 
+/// The `blot` CLI's stats renderer, the one way a stats document
+/// becomes text.
+#[path = "../../cli/src/stats.rs"]
+mod cli_stats;
+
 use std::io::Read;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -30,7 +35,7 @@ use blot_core::prelude::*;
 use blot_router::{
     Coordinator, PoolConfig, RouterConfig, RouterError, RouterService, ShardMap, ShardSpec,
 };
-use blot_server::client::Client;
+use blot_server::client::{Client, ClientConfig, ClientError};
 use blot_server::server::{Server, ServerConfig};
 use blot_server::wire::ErrorCode;
 use blot_storage::MemBackend;
@@ -288,9 +293,11 @@ fn killed_shard_mid_query_yields_structured_error_with_retry_hint() {
 
     let config = RouterConfig {
         pool: PoolConfig {
-            shard_retries: 1,
-            io_timeout: Duration::from_secs(2),
-            retry_backoff_cap: Duration::from_millis(50),
+            client: ClientConfig {
+                max_retries: 1,
+                io_timeout: Duration::from_secs(2),
+                max_backoff: Duration::from_millis(50),
+            },
             ..PoolConfig::default()
         },
         gather_timeout: Duration::from_secs(20),
@@ -336,9 +343,11 @@ fn killed_shard_error_propagates_over_the_wire_with_its_hint() {
     let map = ShardMap::new(2, ShardSpec::OidHash { shards: 4 }, addrs).unwrap();
     let config = RouterConfig {
         pool: PoolConfig {
-            shard_retries: 0,
-            io_timeout: Duration::from_secs(2),
-            retry_backoff_cap: Duration::from_millis(50),
+            client: ClientConfig {
+                max_retries: 0,
+                io_timeout: Duration::from_secs(2),
+                max_backoff: Duration::from_millis(50),
+            },
             ..PoolConfig::default()
         },
         ..RouterConfig::default()
@@ -346,10 +355,20 @@ fn killed_shard_error_propagates_over_the_wire_with_its_hint() {
     let service = RouterService::new(map, config).unwrap();
     // Front the coordinator with the ordinary serving layer…
     let front = Server::start(Arc::new(service), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect(&front.local_addr().to_string()).unwrap();
+    let mut client = Client::connect_with(
+        &front.local_addr().to_string(),
+        ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
     // …and the structured error (code + retry hint) crosses the wire.
     let q = probe_queries(&universe, 1)[0];
-    let wire_err = client.query_once(&q).unwrap().unwrap_err();
+    let wire_err = match client.query(&q) {
+        Err(ClientError::Exhausted { last, .. }) => last,
+        other => panic!("expected the shard's retryable error, got {other:?}"),
+    };
     assert_eq!(wire_err.code, ErrorCode::ShardUnavailable);
     assert!(wire_err.retry_after_ms > 0);
     assert!(wire_err.message.contains("shard 3"), "{}", wire_err.message);
@@ -388,7 +407,10 @@ fn overloaded_shard_sheds_with_retry_hint_then_recovers() {
     .unwrap();
     let config = RouterConfig {
         pool: PoolConfig {
-            shard_retries: 0,
+            client: ClientConfig {
+                max_retries: 0,
+                ..PoolConfig::default().client
+            },
             ..PoolConfig::default()
         },
         ..RouterConfig::default()
@@ -459,7 +481,21 @@ fn coordinator_stats_aggregate_every_shard() {
         assert!(s.get("stats").is_some(), "per-shard stats doc present");
     }
     assert!(doc.get("pruning").is_some());
-    assert!(doc.get("text").and_then(blot_json::Json::as_str).is_some());
+    assert!(doc.get("text").is_none(), "no pre-rendered text");
+    // The CLI's renderer lists every shard under its `shards:` section.
+    let text = cli_stats::to_text(&doc);
+    let section = text
+        .split_once("\nshards:\n")
+        .map(|(_, rest)| rest)
+        .unwrap_or_else(|| panic!("no shards section in {text}"));
+    for shard in 0..4 {
+        assert!(
+            section
+                .lines()
+                .any(|l| l.starts_with(&format!("  shard {shard} ")) && l.contains(": ok (")),
+            "shard {shard} missing or not ok in {text}"
+        );
+    }
     for server in servers {
         let _ = server.shutdown(Duration::from_secs(10));
     }

@@ -39,11 +39,12 @@
 //! closed-loop throughput on two cores ranged 2.9 k–9.3 k queries/s
 //! from one run to the next.
 //!
-//! Results travel back to the waiting connection handler through a
-//! [`ResponseSlot`] — a one-shot mutex/condvar cell.
+//! Results travel back to the waiting connection handler over a
+//! `sync_channel(1)` per query.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -97,54 +98,6 @@ pub struct BatchedOutcome {
     pub store_ms: f64,
 }
 
-/// A one-shot result cell: a lane fills it, the connection handler
-/// waits on it.
-#[derive(Debug, Default)]
-pub struct ResponseSlot {
-    cell: Mutex<Option<BatchedOutcome>>,
-    ready: Condvar,
-}
-
-impl ResponseSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Stores the outcome and wakes the waiter. A second fill is
-    /// ignored (the slot is one-shot).
-    pub fn fill(&self, outcome: BatchedOutcome) {
-        let mut cell = self.cell.lock();
-        if cell.is_none() {
-            *cell = Some(outcome);
-        }
-        drop(cell);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the slot is filled or `timeout` elapses; `None`
-    /// means no lane answered in time.
-    #[must_use]
-    pub fn wait(&self, timeout: Duration) -> Option<BatchedOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut cell = self.cell.lock();
-        while cell.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // `storage::sync::Mutex` hands out a std guard, so the
-            // condvar composes; recover from poisoning like the lock
-            // itself does.
-            let (guard, _timed_out) = self
-                .ready
-                .wait_timeout(cell, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            cell = guard;
-        }
-        cell.take()
-    }
-}
-
 struct PendingQuery {
     range: Cuboid,
     /// The connection's `server.request` span context, if the query is
@@ -155,7 +108,9 @@ struct PendingQuery {
     /// the queue wait.
     admission: Option<TraceSpan>,
     enqueued: Instant,
-    slot: Arc<ResponseSlot>,
+    /// Where the outcome goes: one slot, waited on by the connection
+    /// handler that submitted the query.
+    reply: SyncSender<BatchedOutcome>,
 }
 
 impl std::fmt::Debug for PendingQuery {
@@ -231,7 +186,9 @@ impl AdmissionQueue {
         })
     }
 
-    /// Admits one query, returning the slot its result will arrive in.
+    /// Admits one query, returning the receiver its outcome will
+    /// arrive on. A lane sends exactly once; a receiver that is dropped
+    /// first (the handler gave up waiting) discards the outcome.
     ///
     /// # Errors
     ///
@@ -243,8 +200,8 @@ impl AdmissionQueue {
         range: Cuboid,
         ctx: Option<SpanContext>,
         admission: Option<TraceSpan>,
-    ) -> Result<Arc<ResponseSlot>, SubmitError> {
-        let slot = ResponseSlot::new();
+    ) -> Result<Receiver<BatchedOutcome>, SubmitError> {
+        let (reply, outcome) = sync_channel(1);
         {
             let mut state = self.state.lock();
             if state.closed {
@@ -262,7 +219,7 @@ impl AdmissionQueue {
                 ctx,
                 admission,
                 enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
+                reply,
             });
             self.metrics.queue_depth.add(1);
         }
@@ -270,7 +227,7 @@ impl AdmissionQueue {
         // looks at the queue again when it finishes: one wake-up is
         // enough.
         self.wake.notify_one();
-        Ok(slot)
+        Ok(outcome)
     }
 
     /// Current retry-after suggestion: about two batch rounds.
@@ -428,7 +385,11 @@ pub fn run_lane<S: QueryService + ?Sized>(service: &S, queue: &AdmissionQueue) {
                 span.finish();
             }
             let now = Instant::now();
-            p.slot.fill(BatchedOutcome {
+            // The one send into a one-slot channel never blocks; it
+            // fails only when the handler stopped waiting (its request
+            // timed out), and then no one is left to tell.
+            #[allow(clippy::let_underscore_must_use)]
+            let _ = p.reply.try_send(BatchedOutcome {
                 result,
                 admission_ms: drained.duration_since(p.enqueued).as_secs_f64() * 1_000.0,
                 batch_ms: now.duration_since(drained).as_secs_f64() * 1_000.0,
@@ -489,24 +450,5 @@ mod tests {
             Err(SubmitError::ShuttingDown)
         ));
         assert!(q.next_batch().is_none());
-    }
-
-    #[test]
-    fn response_slot_times_out_then_delivers() {
-        let slot = ResponseSlot::new();
-        assert!(slot.wait(Duration::from_millis(10)).is_none());
-        slot.fill(BatchedOutcome {
-            result: Err(CoreError::NoReplicas),
-            admission_ms: 0.5,
-            batch_ms: 1.0,
-            store_ms: 0.75,
-        });
-        match slot.wait(Duration::from_millis(10)) {
-            Some(BatchedOutcome {
-                result: Err(CoreError::NoReplicas),
-                ..
-            }) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 }

@@ -1,11 +1,13 @@
 //! A blocking client for the BLOT wire protocol.
 //!
-//! One [`Client`] owns one TCP connection, reconnecting once per call
-//! if the transport drops. [`Client::query`] retries `Overloaded`
-//! replies with capped exponential backoff, honouring the server's
-//! retry-after hint — the behaviour `blot query --remote` wants.
-//! [`Client::query_once`] exposes the raw single-shot outcome for the
-//! shard router, overload tests and latency measurement.
+//! One [`Client`] owns one TCP connection, opened on first use and
+//! reopened after a transport error. [`Client::query_traced`] is the
+//! one retry loop of the serving tier: a query shed with `Overloaded`
+//! or `ShardUnavailable`, or lost to a reset, refused or broken
+//! connection, is tried again after a capped exponential backoff that
+//! honours the server's retry-after hint. `blot query --remote` and the
+//! shard router's workers both ask through it; a caller that wants a
+//! single shot sets [`ClientConfig::max_retries`] to 0.
 
 use std::fmt;
 use std::net::TcpStream;
@@ -25,7 +27,8 @@ use crate::wire::{
 pub struct ClientConfig {
     /// Per-read/write transport timeout.
     pub io_timeout: Duration,
-    /// Retry attempts for an `Overloaded` query before giving up.
+    /// Retry attempts for a shed or transport-failed query before
+    /// giving up.
     pub max_retries: u32,
     /// Backoff ceiling between retries.
     pub max_backoff: Duration,
@@ -55,10 +58,13 @@ pub enum ClientError {
         /// What the client was waiting for.
         expected: &'static str,
     },
-    /// Every retry of an `Overloaded` query was shed.
+    /// Every attempt of a query was shed; `last` is the final reply,
+    /// with its code and retry-after hint.
     Exhausted {
         /// Attempts made (initial try plus retries).
         attempts: u32,
+        /// The server's answer to the last attempt.
+        last: WireError,
     },
 }
 
@@ -71,8 +77,8 @@ impl fmt::Display for ClientError {
             Self::Protocol { expected } => {
                 write!(f, "unexpected reply kind (wanted {expected})")
             }
-            Self::Exhausted { attempts } => {
-                write!(f, "server overloaded after {attempts} attempts")
+            Self::Exhausted { attempts, last } => {
+                write!(f, "gave up after {attempts} attempts: {last}")
             }
         }
     }
@@ -154,11 +160,24 @@ pub struct Client {
     addr: String,
     stream: Option<TcpStream>,
     config: ClientConfig,
-    /// Cumulative `Overloaded` retries performed by [`Client::query`].
+    /// Cumulative retries performed by [`Client::query_traced`].
     retries: u64,
 }
 
 impl Client {
+    /// A client for `addr` that has not connected yet: the first
+    /// request connects, so the server may come up after the client
+    /// is made.
+    #[must_use]
+    pub fn new(addr: &str, config: ClientConfig) -> Self {
+        Self {
+            addr: addr.to_owned(),
+            stream: None,
+            config,
+            retries: 0,
+        }
+    }
+
     /// Connects to `addr` (e.g. `"127.0.0.1:7407"`).
     ///
     /// # Errors
@@ -174,12 +193,7 @@ impl Client {
     ///
     /// [`ClientError::Io`] if the connection cannot be established.
     pub fn connect_with(addr: &str, config: ClientConfig) -> Result<Self, ClientError> {
-        let mut client = Self {
-            addr: addr.to_owned(),
-            stream: None,
-            config,
-            retries: 0,
-        };
+        let mut client = Self::new(addr, config);
         client.ensure_connected()?;
         Ok(client)
     }
@@ -203,8 +217,9 @@ impl Client {
         })
     }
 
-    /// One request/reply exchange; a transport error drops the cached
-    /// connection so the next call reconnects.
+    /// One request/reply exchange; any failure drops the cached
+    /// connection (a stream that failed mid-frame cannot be trusted to
+    /// be in sync), so the next call reconnects.
     fn exchange(&mut self, request: &Request) -> Result<Response, ClientError> {
         let (kind, payload) = request.encode();
         let result = (|| {
@@ -213,7 +228,7 @@ impl Client {
             let frame: Frame = wire::read_frame(stream)?;
             Ok(Response::decode(&frame)?)
         })();
-        if matches!(result, Err(ClientError::Io(_))) {
+        if result.is_err() {
             self.stream = None;
         }
         result
@@ -233,92 +248,71 @@ impl Client {
         }
     }
 
-    /// One query attempt, no retry: `Ok(Ok(result))`, or
-    /// `Ok(Err(wire_error))` when the server answered with a structured
-    /// error (e.g. `Overloaded`).
+    /// Executes a range query with [`Client::query_traced`]'s retries.
     ///
     /// # Errors
     ///
-    /// Transport/protocol errors only; server-side errors land in the
-    /// inner `Result`.
-    pub fn query_once(
-        &mut self,
-        range: &Cuboid,
-    ) -> Result<Result<RemoteQueryResult, WireError>, ClientError> {
-        self.query_once_traced(range, None)
-    }
-
-    /// Like [`Client::query_once`], but ships `ctx` as the query's wire
-    /// trace context so the server parents its span tree under the
-    /// client's trace.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol errors only; server-side errors land in the
-    /// inner `Result`.
-    pub fn query_once_traced(
-        &mut self,
-        range: &Cuboid,
-        ctx: Option<SpanContext>,
-    ) -> Result<Result<RemoteQueryResult, WireError>, ClientError> {
-        let wire_query = WireQuery { range: *range, ctx };
-        match self.exchange(&Request::RangeQuery(wire_query))? {
-            Response::QueryOk(r) => Ok(Ok(*r)),
-            Response::Error(e) => Ok(Err(e)),
-            _ => Err(ClientError::Protocol {
-                expected: "QueryOk",
-            }),
-        }
-    }
-
-    /// Executes a range query, retrying `Overloaded` replies with
-    /// backoff (the server's retry-after hint, doubled per attempt, and
-    /// capped by the config ceiling).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Exhausted`] when every attempt was shed;
-    /// [`ClientError::Server`] for non-overload server errors;
-    /// transport/protocol errors as usual.
+    /// Same as [`Client::query_traced`].
     pub fn query(&mut self, range: &Cuboid) -> Result<RemoteQueryResult, ClientError> {
         self.query_traced(range, None)
     }
 
-    /// Like [`Client::query`], but propagates `ctx` over the wire so
-    /// the server joins the client's trace.
+    /// Executes a range query, shipping `ctx` over the wire so the
+    /// server joins the client's trace, and retrying up to
+    /// `max_retries` times. A reply whose code is
+    /// [`Disposition::RetryAfterHint`] waits the server's hint, and a
+    /// transport error (reset, refused, broken pipe) waits without one;
+    /// either wait is at least the current backoff (10 ms, doubled each
+    /// time) and at most `max_backoff`. A transport error also drops
+    /// the connection, so the next attempt reconnects; queries are
+    /// read-only, so a repeat is safe.
     ///
     /// # Errors
     ///
-    /// Same as [`Client::query`].
+    /// [`ClientError::Exhausted`] when the last attempt was shed too;
+    /// [`ClientError::Io`] when it failed in transport;
+    /// [`ClientError::Server`] for a reply that retrying cannot fix;
+    /// frame/protocol errors at once.
     pub fn query_traced(
         &mut self,
         range: &Cuboid,
         ctx: Option<SpanContext>,
     ) -> Result<RemoteQueryResult, ClientError> {
+        let request = Request::RangeQuery(WireQuery { range: *range, ctx });
         let attempts = self.config.max_retries.saturating_add(1);
         let mut backoff = Duration::from_millis(10);
-        for attempt in 0..attempts {
-            match self.query_once_traced(range, ctx)? {
-                Ok(result) => return Ok(result),
-                Err(e) => match disposition(e.code) {
-                    Disposition::RetryAfterHint => {
-                        self.retries += 1;
-                        let hinted = Duration::from_millis(u64::from(e.retry_after_ms));
-                        let wait = hinted.max(backoff).min(self.config.max_backoff);
-                        if attempt + 1 < attempts {
-                            std::thread::sleep(wait);
-                        }
-                        backoff = backoff.saturating_mul(2);
-                    }
-                    Disposition::Reconnect => {
-                        self.retries += 1;
-                        self.stream = None;
-                    }
+        let mut attempt = 1;
+        loop {
+            let hinted_ms = match self.exchange(&request) {
+                Ok(Response::QueryOk(result)) => return Ok(*result),
+                Ok(Response::Error(e)) => match disposition(e.code) {
                     Disposition::Fatal => return Err(ClientError::Server(e)),
+                    _ if attempt >= attempts => {
+                        return Err(ClientError::Exhausted { attempts, last: e })
+                    }
+                    // A stale connection: reconnect and ask again now.
+                    Disposition::Reconnect => {
+                        self.stream = None;
+                        None
+                    }
+                    Disposition::RetryAfterHint => Some(e.retry_after_ms),
                 },
+                Ok(_) => {
+                    return Err(ClientError::Protocol {
+                        expected: "QueryOk",
+                    })
+                }
+                Err(ClientError::Io(_)) if attempt < attempts => Some(0),
+                Err(e) => return Err(e),
+            };
+            if let Some(ms) = hinted_ms {
+                let hinted = Duration::from_millis(u64::from(ms));
+                std::thread::sleep(hinted.max(backoff).min(self.config.max_backoff));
+                backoff = backoff.saturating_mul(2);
             }
+            self.retries += 1;
+            attempt += 1;
         }
-        Err(ClientError::Exhausted { attempts })
     }
 
     /// Fetches the server's stats snapshot as raw JSON.
@@ -355,8 +349,8 @@ impl Client {
         }
     }
 
-    /// Cumulative `Overloaded` retries performed by [`Client::query`]
-    /// over this client's lifetime.
+    /// Cumulative retries performed by [`Client::query_traced`] over
+    /// this client's lifetime.
     #[must_use]
     pub fn retries(&self) -> u64 {
         self.retries

@@ -7,22 +7,27 @@
 //! on the shared [`blot_storage::ScanExecutor`], reached through
 //! [`QueryService::query_batch_traced`].
 //!
-//! Connection lifecycle: the accept loop admits a socket if the open-
-//! connection count is under `max_conns` (otherwise it replies
-//! `Overloaded` and closes — never a silent drop), then parks it on
-//! the [`ConnQueue`] until a handler picks it up. Handlers poll one
-//! byte at a time between frames so shutdown and idle deadlines are
-//! observed within a tick (~150 ms) even on a silent connection.
+//! Connection lifecycle: a handler serves one connection for its whole
+//! life, so the accept loop admits a socket only while fewer than
+//! `min(max_conns, handlers)` are open — otherwise it replies
+//! `Overloaded` and closes, never a silent drop and never a socket that
+//! waits for a handler. An admitted socket is sent down an `mpsc`
+//! channel whose receiver the handlers share; dropping the sender (the
+//! accept loop returning) is what tells idle handlers to exit. Handlers
+//! poll one byte at a time between frames so shutdown and idle
+//! deadlines are observed within a tick (~150 ms) even on a silent
+//! connection.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blot_core::prelude::*;
+use blot_json::Json;
 use blot_obs::{names, ServerMetrics};
 use blot_storage::sync::Mutex;
 
@@ -56,50 +61,6 @@ pub(crate) fn spawn_named(
     std::thread::Builder::new()
         .name(format!("blot-server-{name}"))
         .spawn(f)
-}
-
-/// Bounded hand-off of accepted sockets from the accept loop to the
-/// handler pool.
-#[derive(Debug, Default)]
-pub(crate) struct ConnQueue {
-    sockets: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    closed: AtomicBool,
-}
-
-impl ConnQueue {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    fn push(&self, stream: TcpStream) {
-        self.sockets.lock().push_back(stream);
-        self.ready.notify_one();
-    }
-
-    /// Blocks until a socket arrives or the queue closes. `None` means
-    /// closed and drained: the handler should exit.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut sockets = self.sockets.lock();
-        loop {
-            if let Some(stream) = sockets.pop_front() {
-                return Some(stream);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .ready
-                .wait_timeout(sockets, POLL_TICK)
-                .unwrap_or_else(PoisonError::into_inner);
-            sockets = guard;
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.ready.notify_all();
-    }
 }
 
 /// Everything a connection thread needs, cheaply clonable.
@@ -138,51 +99,49 @@ impl<S: ?Sized> std::fmt::Debug for ConnContext<S> {
 }
 
 /// The accept loop: non-blocking accept polled against the shutdown
-/// flag. On shutdown it closes the hand-off queue and returns.
+/// flag. It owns the hand-off channel's only sender, so returning —
+/// on shutdown, or when the listener cannot be made non-blocking —
+/// closes the channel.
 pub(crate) fn accept_loop<S: QueryService + ?Sized>(
     listener: &TcpListener,
-    connq: &ConnQueue,
+    handoff: Sender<TcpStream>,
     ctx: &ConnContext<S>,
 ) {
     // Non-blocking accept is load-bearing: a blocking listener would pin
     // this thread inside `accept()` past the shutdown flag. Refuse to
     // serve rather than refuse to stop.
     if listener.set_nonblocking(true).is_err() {
-        connq.close();
         return;
     }
-    loop {
-        if ctx.flag.is_triggered() {
-            break;
-        }
+    // Every handler serves one connection at a time for as long as it
+    // stays open, so a connection past the pool would never be served.
+    let cap = ctx.config.max_conns.min(ctx.config.handlers.max(1));
+    while !ctx.flag.is_triggered() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 ctx.metrics.accepted.inc();
-                if ctx.active.load(Ordering::Acquire) >= ctx.config.max_conns {
+                if ctx.active.load(Ordering::Acquire) >= cap {
                     // At capacity: answer, don't silently drop.
                     ctx.metrics.rejected.inc();
-                    reject_overloaded(stream, "connection limit reached");
+                    reject_overloaded(stream);
                     continue;
                 }
                 ctx.active.fetch_add(1, Ordering::AcqRel);
-                connq.push(stream);
+                if handoff.send(stream).is_err() {
+                    // Every handler has exited: nothing left to serve.
+                    break;
+                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => {
-                // Transient accept failure (EMFILE, aborted handshake):
-                // back off a tick and keep serving.
-                std::thread::sleep(ACCEPT_TICK);
-            }
+            // Nothing pending, or a transient accept failure (EMFILE, an
+            // aborted handshake): back off a tick and keep serving.
+            Err(_) => std::thread::sleep(ACCEPT_TICK),
         }
     }
-    connq.close();
 }
 
 /// Best-effort `Overloaded` reply to a connection turned away at the
 /// accept loop; the socket is closed afterwards either way.
-fn reject_overloaded(mut stream: TcpStream, message: &str) {
+fn reject_overloaded(mut stream: TcpStream) {
     // Without the write timeout an unresponsive peer could stall the
     // accept loop for the whole reply; skip the courtesy and just close.
     if stream
@@ -191,21 +150,26 @@ fn reject_overloaded(mut stream: TcpStream, message: &str) {
     {
         return;
     }
-    let (kind, payload) = Response::Error(WireError {
-        code: ErrorCode::Overloaded,
-        retry_after_ms: 100,
-        message: message.to_owned(),
-    })
-    .encode();
+    let message = "connection limit reached".to_owned();
+    let (kind, payload) = error_response(ErrorCode::Overloaded, 100, message).encode();
     // Courtesy reply on a connection already being turned away — the
     // close that follows is the real signal.
     #[allow(clippy::let_underscore_must_use)]
     let _ = wire::write_frame(&mut stream, kind, &payload);
 }
 
-/// One handler-pool thread: serve sockets until the queue closes.
-pub(crate) fn handler_loop<S: QueryService + ?Sized>(connq: &ConnQueue, ctx: &ConnContext<S>) {
-    while let Some(stream) = connq.pop() {
+/// One handler-pool thread: serve sockets until the accept loop drops
+/// the hand-off sender. Blocking in `recv` under the lock is the
+/// `router::pool` pattern: one idle handler camps on the channel and
+/// releases the lock before serving, so its siblings take the next
+/// socket.
+pub(crate) fn handler_loop<S: QueryService + ?Sized>(
+    handoff: &Mutex<Receiver<TcpStream>>,
+    ctx: &ConnContext<S>,
+) {
+    loop {
+        let next = handoff.lock().recv();
+        let Ok(stream) = next else { return };
         serve_connection(stream, ctx);
         ctx.active.fetch_sub(1, Ordering::AcqRel);
     }
@@ -380,12 +344,13 @@ fn handle_frame<S: QueryService + ?Sized>(frame: &Frame, ctx: &ConnContext<S>) -
     match request {
         Request::Ping => (Response::Pong, true),
         Request::Stats(band) => {
-            // A coordinator service pre-renders its own aggregated
-            // document; everything else gets the standard payload.
-            let payload = ctx
-                .service
-                .stats_json(band)
-                .unwrap_or_else(|| stats::stats_payload(ctx.service.as_ref(), band));
+            // A coordinator service builds its own aggregated document;
+            // everything else gets the standard one.
+            let payload = ctx.service.stats_json(band).unwrap_or_else(|| {
+                let metrics = ctx.service.metrics_registry().snapshot();
+                let drift = ctx.service.drift_report(band.unwrap_or_default());
+                Json::Obj(stats::document(&metrics, &drift, None)).to_string()
+            });
             (Response::StatsOk(payload), true)
         }
         Request::RangeQuery(q) => {
@@ -422,8 +387,8 @@ fn handle_frame<S: QueryService + ?Sized>(frame: &Frame, ctx: &ConnContext<S>) -
                     ),
                     false,
                 ),
-                Ok(slot) => match slot.wait(ctx.config.request_timeout) {
-                    Some(outcome) => match outcome.result {
+                Ok(outcome) => match outcome.recv_timeout(ctx.config.request_timeout) {
+                    Ok(outcome) => match outcome.result {
                         Ok(result) => (
                             Response::QueryOk(Box::new(RemoteQueryResult {
                                 replica: result.replica,
@@ -458,7 +423,9 @@ fn handle_frame<S: QueryService + ?Sized>(frame: &Frame, ctx: &ConnContext<S>) -
                             true,
                         ),
                     },
-                    None => (
+                    // No answer in time, or a lane panicked and dropped
+                    // the sender unsent.
+                    Err(_) => (
                         error_response(
                             ErrorCode::Internal,
                             0,

@@ -16,17 +16,25 @@
 //!   into single pooled [`query_batch`](blot_core::store::BlotStore::query_batch)
 //!   rounds;
 //! * [`conn`] — accept loop and fixed connection-handler pool (the one
-//!   audited home of serving-layer OS threads);
-//! * [`shutdown`] — a cooperative latch (`unsafe` is forbidden
-//!   workspace-wide, so there is no signal handler; the CLI trips the
-//!   latch from a stdin watcher instead);
+//!   audited home of serving-layer OS threads). A handler serves one
+//!   connection for its whole life, so at most `min(max_conns,
+//!   handlers)` connections are admitted; the rest are refused with
+//!   `Overloaded`. Plain hand-offs between threads (sockets to
+//!   handlers, outcomes back from the lanes) are `std::sync::mpsc`
+//!   channels;
+//! * [`shutdown`] — a cooperative latch every server loop polls
+//!   (`unsafe` is forbidden workspace-wide, so there is no signal
+//!   handler; the CLI calls `Server::shutdown` on EOF or `quit` on
+//!   stdin instead);
 //! * [`server`] — lifecycle: bind, serve, graceful drain
 //!   (stop accepting → answer in-flight → join threads → drain the
 //!   scan pool → flush metrics);
-//! * [`client`] — a blocking client with `Overloaded` retry/backoff,
-//!   used by `blot query --remote` and the shard router;
-//! * [`stats`] — the `Stats` reply payload (metrics + drift + the same
-//!   text rendering the local CLI prints).
+//! * [`client`] — a blocking client and the tier's one retry loop
+//!   (shed replies and transport errors, capped backoff), used by
+//!   `blot query --remote` and the shard router;
+//! * [`stats`] — the one stats document (metrics, pruning, drift) the
+//!   `Stats` reply and local `blot stats --json` share; the CLI renders
+//!   it as text.
 //!
 //! # Quick start
 //!

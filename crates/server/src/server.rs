@@ -9,19 +9,22 @@ use std::time::{Duration, Instant};
 
 use blot_core::prelude::*;
 use blot_obs::{MetricsRegistry, ServerMetrics, Snapshot};
+use blot_storage::sync::Mutex;
 
 use crate::batch::{run_lane, AdmissionQueue, LANES};
-use crate::conn::{accept_loop, handler_loop, spawn_named, ConnContext, ConnQueue};
+use crate::conn::{accept_loop, handler_loop, spawn_named, ConnContext};
 use crate::shutdown::ShutdownFlag;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum simultaneously open client connections; further
-    /// connections get an `Overloaded` reply at accept time.
+    /// connections get an `Overloaded` reply at accept time. The lower
+    /// of this and `handlers` is the cap that applies.
     pub max_conns: usize,
-    /// Connection-handler threads (each serves one connection at a
-    /// time).
+    /// Connection-handler threads. Each serves one connection for as
+    /// long as it stays open, so the lower of this and `max_conns` caps
+    /// open connections.
     pub handlers: usize,
     /// Admission-queue capacity: queries waiting for a batch lane.
     pub queue_depth: usize,
@@ -116,7 +119,7 @@ pub struct ShutdownReport {
 /// A running BLOT server.
 ///
 /// Dropping a `Server` without calling [`shutdown`](Self::shutdown)
-/// trips the shutdown flag and closes the queues, but does not block
+/// trips the shutdown flag and closes the admission queue, but does not block
 /// joining threads; call `shutdown` for an orderly drain.
 #[derive(Debug)]
 pub struct Server {
@@ -124,7 +127,6 @@ pub struct Server {
     flag: ShutdownFlag,
     threads: Vec<JoinHandle<()>>,
     queue: Arc<AdmissionQueue>,
-    connq: Arc<ConnQueue>,
     registry: MetricsRegistry,
     executor: Arc<blot_storage::ScanExecutor>,
 }
@@ -160,7 +162,8 @@ impl Server {
             config.batch_linger,
             metrics.clone(),
         );
-        let connq = ConnQueue::new();
+        let (handoff, sockets) = std::sync::mpsc::channel();
+        let sockets = Arc::new(Mutex::new(sockets));
         let ctx = ConnContext {
             service,
             queue: Arc::clone(&queue),
@@ -184,26 +187,24 @@ impl Server {
         }
         for i in 0..config.handlers.max(1) {
             let ctx = ctx.clone();
-            let connq = Arc::clone(&connq);
+            let sockets = Arc::clone(&sockets);
             threads.push(
-                spawn_named(&format!("handler-{i}"), move || handler_loop(&connq, &ctx))
-                    .map_err(|e| spawn_err("handler", e))?,
+                spawn_named(&format!("handler-{i}"), move || {
+                    handler_loop(&sockets, &ctx)
+                })
+                .map_err(|e| spawn_err("handler", e))?,
             );
         }
-        {
-            let connq = Arc::clone(&connq);
-            threads.push(
-                spawn_named("accept", move || accept_loop(&listener, &connq, &ctx))
-                    .map_err(|e| spawn_err("accept", e))?,
-            );
-        }
+        threads.push(
+            spawn_named("accept", move || accept_loop(&listener, handoff, &ctx))
+                .map_err(|e| spawn_err("accept", e))?,
+        );
 
         Ok(Self {
             local_addr,
             flag,
             threads,
             queue,
-            connq,
             registry,
             executor,
         })
@@ -215,8 +216,8 @@ impl Server {
         self.local_addr
     }
 
-    /// A clone of the shutdown latch; trigger it (from a signal
-    /// watcher, another thread, a test) to begin shutdown.
+    /// A clone of the shutdown latch; trigger it (from another thread,
+    /// a test) to begin shutdown, or watch it to see shutdown begin.
     #[must_use]
     pub fn shutdown_flag(&self) -> ShutdownFlag {
         self.flag.clone()
@@ -246,10 +247,11 @@ impl Server {
         let deadline = Instant::now() + timeout;
         // 1. Stop accepting and admitting. The batch lanes drain what
         //    is already queued before exiting; handlers answer
-        //    in-flight requests, then see the flag.
+        //    in-flight requests, then see the flag; the accept loop
+        //    sees it too and drops the hand-off sender, which lets
+        //    idle handlers exit.
         self.flag.trigger();
         self.queue.close();
-        self.connq.close();
         // 2. Join service threads (accept first in the vec order does
         //    not matter; is_finished polling honours one deadline).
         let poll = Duration::from_millis(5);
@@ -284,7 +286,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.flag.trigger();
         self.queue.close();
-        self.connq.close();
         // Threads are detached if `shutdown` was not called; they exit
         // on their next poll tick.
     }

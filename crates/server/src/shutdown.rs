@@ -1,27 +1,17 @@
 //! Cooperative shutdown signalling.
 //!
 //! The workspace forbids `unsafe`, so there is no signal handler; the
-//! flag is triggered programmatically (CLI stdin watcher, tests,
-//! `Server::shutdown`). Every server loop polls it between short
-//! blocking operations, so a trigger propagates within one poll tick.
+//! flag is triggered programmatically (`Server::shutdown`, tests).
+//! Every server loop polls it between short blocking operations, so a
+//! trigger propagates within one poll tick.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// A clonable one-way latch: once triggered, it stays triggered.
 #[derive(Debug, Clone, Default)]
 pub struct ShutdownFlag {
-    inner: Arc<FlagInner>,
-}
-
-#[derive(Debug, Default)]
-struct FlagInner {
-    triggered: AtomicBool,
-    // The mutex guards nothing but the condvar protocol; the bool is
-    // the atomic above.
-    lock: Mutex<()>,
-    changed: Condvar,
+    triggered: Arc<AtomicBool>,
 }
 
 impl ShutdownFlag {
@@ -31,93 +21,29 @@ impl ShutdownFlag {
         Self::default()
     }
 
-    /// Trips the latch and wakes every waiter. Idempotent.
+    /// Trips the latch. Idempotent.
     pub fn trigger(&self) {
-        self.inner.triggered.store(true, Ordering::Release);
-        let guard = self
-            .inner
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        drop(guard);
-        self.inner.changed.notify_all();
+        self.triggered.store(true, Ordering::Release);
     }
 
-    /// True once [`trigger`](Self::trigger) ran.
+    /// True once [`trigger`](Self::trigger) ran on this flag or a clone.
     #[must_use]
     pub fn is_triggered(&self) -> bool {
-        self.inner.triggered.load(Ordering::Acquire)
-    }
-
-    /// Blocks until the flag trips.
-    pub fn wait(&self) {
-        let mut guard = self
-            .inner
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !self.is_triggered() {
-            guard = self
-                .inner
-                .changed
-                .wait_timeout(guard, Duration::from_millis(100))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        drop(guard);
-    }
-
-    /// Blocks until the flag trips or `timeout` elapses; true when it
-    /// tripped.
-    #[must_use]
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self
-            .inner
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !self.is_triggered() {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            guard = self
-                .inner
-                .changed
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        drop(guard);
-        true
+        self.triggered.load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::indexing_slicing
-    )]
-
     use super::*;
 
     #[test]
-    fn trigger_is_sticky_and_wakes_waiters() {
+    fn trigger_is_sticky_and_shared_by_clones() {
         let flag = ShutdownFlag::new();
-        assert!(!flag.is_triggered());
-        assert!(!flag.wait_timeout(Duration::from_millis(5)));
-        let waiter = {
-            let flag = flag.clone();
-            std::thread::spawn(move || flag.wait())
-        };
+        let clone = flag.clone();
+        assert!(!clone.is_triggered());
         flag.trigger();
         flag.trigger(); // idempotent
-        assert!(flag.is_triggered());
-        waiter.join().unwrap();
-        assert!(flag.wait_timeout(Duration::ZERO));
+        assert!(flag.is_triggered() && clone.is_triggered());
     }
 }

@@ -1,16 +1,46 @@
-//! The `Stats` reply payload: one JSON document carrying the metrics
-//! snapshot, the cost-model drift report, and a pre-rendered text
-//! table, so `blot stats --remote` can show exactly what the local
-//! path shows without re-implementing the renderer client-side.
+//! The stats document: one JSON object carrying `enabled` (is the
+//! metrics build live), `metrics` (a registry snapshot), `pruning`
+//! (zone-map savings) and `drift` (the cost-model drift report). The
+//! server's `Stats` reply and local `blot stats --json` are this
+//! document; a coordinator's reply extends it with its shards. The CLI
+//! renders any of them as text, so no renderer lives here.
 
-use blot_core::obs::{DriftBand, DriftReport};
-use blot_core::prelude::*;
+use blot_core::obs::DriftReport;
 use blot_json::Json;
+use blot_obs::Snapshot;
 
-/// Renders a drift report as JSON (shared by the server's `Stats`
-/// reply and the CLI's local `blot stats --json` path).
+/// The stats document's fields, in order, for `metrics` and `drift`.
+/// A caller wraps them in `Json::Obj`, or extends them first.
+/// `pruned` is the `(units, bytes)` the zone maps skipped when those
+/// are not `metrics`' own `scan.*_skipped` counters: a coordinator
+/// scans nothing and reports what its shards saved.
 #[must_use]
-pub fn drift_to_json(report: &DriftReport) -> Json {
+pub fn document(
+    metrics: &Snapshot,
+    drift: &DriftReport,
+    pruned: Option<(u64, u64)>,
+) -> Vec<(String, Json)> {
+    // Zone-map pruning effectiveness, surfaced explicitly so readers
+    // need not dig for it in the raw counter dump.
+    let (units, bytes) = pruned.unwrap_or_else(|| {
+        let counter = |name| metrics.counter(name).unwrap_or(0);
+        (counter("scan.units_skipped"), counter("scan.bytes_skipped"))
+    });
+    #[allow(clippy::cast_precision_loss)]
+    let pruning = Json::obj([
+        ("units_skipped", Json::Num(units as f64)),
+        ("bytes_skipped", Json::Num(bytes as f64)),
+    ]);
+    let snapshot = Json::parse(&metrics.to_json()).unwrap_or_else(|_| Json::Obj(Vec::new()));
+    vec![
+        ("enabled".to_owned(), Json::Bool(blot_obs::enabled())),
+        ("metrics".to_owned(), snapshot),
+        ("pruning".to_owned(), pruning),
+        ("drift".to_owned(), drift_to_json(drift)),
+    ]
+}
+
+fn drift_to_json(report: &DriftReport) -> Json {
     #[allow(clippy::cast_precision_loss)]
     let schemes: Vec<Json> = report
         .schemes
@@ -38,95 +68,22 @@ pub fn drift_to_json(report: &DriftReport) -> Json {
     ])
 }
 
-/// Renders a drift report as the CLI's text table (one line per scheme
-/// with samples).
-#[must_use]
-pub fn drift_to_text(report: &DriftReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "cost-model drift (median predicted/actual, band [{}, {}], min {} samples):\n",
-        report.band.lo, report.band.hi, report.band.min_samples
-    ));
-    let mut any = false;
-    for row in &report.schemes {
-        if row.samples == 0 {
-            continue;
-        }
-        any = true;
-        out.push_str(&format!(
-            "  {:<12} {:>6} samples  median {:>8.3}  mean {:>8.3}  {}\n",
-            row.scheme.metric_label(),
-            row.samples,
-            row.median_ratio,
-            row.mean_ratio,
-            if row.flagged { "DRIFTED" } else { "ok" }
-        ));
-    }
-    if !any {
-        out.push_str("  (no drift samples)\n");
-    }
-    out
-}
-
-/// Builds the `StatsOk` JSON payload for a service: `enabled` (is the
-/// metrics build live), `metrics` (the registry snapshot), `drift`,
-/// and `text` (the same information pre-rendered as the local CLI's
-/// text output).
-#[must_use]
-pub fn stats_payload<S: QueryService + ?Sized>(service: &S, band: Option<DriftBand>) -> String {
-    let snapshot = service.metrics_registry().snapshot();
-    let drift = service.drift_report(band.unwrap_or_default());
-    let metrics = Json::parse(&snapshot.to_json()).unwrap_or_else(|_| Json::Obj(Vec::new()));
-    // Zone-map pruning effectiveness, surfaced explicitly so
-    // `blot stats --remote` shows it without digging in the raw
-    // counter dump.
-    let units_skipped = snapshot.counter("scan.units_skipped").unwrap_or(0);
-    let bytes_skipped = snapshot.counter("scan.bytes_skipped").unwrap_or(0);
-    let mut text = String::new();
-    if !blot_obs::enabled() {
-        text.push_str("metrics are compiled out (blot-obs `off` feature)\n");
-    }
-    text.push_str(snapshot.render_text().trim_end());
-    text.push_str("\n\n");
-    text.push_str(&format!(
-        "zone-map pruning: {units_skipped} units skipped, {bytes_skipped} bytes never fetched\n\n"
-    ));
-    text.push_str(&drift_to_text(&drift));
-    #[allow(clippy::cast_precision_loss)]
-    let pruning = Json::obj([
-        ("units_skipped", Json::Num(units_skipped as f64)),
-        ("bytes_skipped", Json::Num(bytes_skipped as f64)),
-    ]);
-    let doc = Json::obj([
-        ("enabled", Json::Bool(blot_obs::enabled())),
-        ("metrics", metrics),
-        ("pruning", pruning),
-        ("drift", drift_to_json(&drift)),
-        ("text", Json::Str(text)),
-    ]);
-    doc.to_string()
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::indexing_slicing
-    )]
+    #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use blot_core::obs::DriftReport;
 
     #[test]
-    fn drift_json_and_text_cover_empty_reports() {
-        let report = DriftReport::from_samples(
-            DriftBand::default(),
-            std::iter::empty::<(EncodingScheme, blot_obs::HistogramSnapshot)>(),
-        );
-        let json = drift_to_json(&report);
-        assert_eq!(json.get("calibrated").and_then(Json::as_bool), Some(true));
-        assert!(drift_to_text(&report).contains("no drift samples"));
+    fn the_document_covers_an_empty_report_and_registry() {
+        let report = DriftReport::from_samples(blot_core::obs::DriftBand::default(), []);
+        let fields = document(&Snapshot::default(), &report, None);
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["enabled", "metrics", "pruning", "drift"]);
+        let doc = Json::Obj(fields);
+        let drift = doc.get("drift").unwrap();
+        assert_eq!(drift.get("calibrated").and_then(Json::as_bool), Some(true));
+        let pruning = doc.get("pruning").unwrap();
+        assert_eq!(pruning.get("units_skipped").and_then(Json::as_u64), Some(0));
     }
 }

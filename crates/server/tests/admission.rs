@@ -87,7 +87,7 @@ fn a_lone_query_on_an_idle_server_does_not_wait_out_the_linger() {
     let lanes = Lanes::start(&Echo::new(), 8, 8, Duration::from_millis(500));
     let started = Instant::now();
     let slot = lanes.queue.submit(Echo::range(7), None, None).unwrap();
-    let outcome = slot.wait(PATIENCE);
+    let outcome = slot.recv_timeout(PATIENCE).ok();
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_millis(100),
@@ -107,7 +107,7 @@ fn a_lone_caller_never_lingers_however_fast_it_asks() {
     // (one that did would hold the next query for an hour).
     for k in 0..20 {
         let slot = lanes.queue.submit(Echo::range(k), None, None).unwrap();
-        assert_answers(slot.wait(PATIENCE), k);
+        assert_answers(slot.recv_timeout(PATIENCE).ok(), k);
     }
     lanes.close_and_join();
 }
@@ -123,16 +123,18 @@ fn callers_that_overlapped_coalesce_until_a_full_batch_waits() {
     service.wait_held(1);
     let behind = submit(1);
     service.open();
-    assert_answers(first.wait(PATIENCE), 0);
-    assert_answers(behind.wait(PATIENCE), 1);
+    assert_answers(first.recv_timeout(PATIENCE).ok(), 0);
+    assert_answers(behind.recv_timeout(PATIENCE).ok(), 1);
     // …and what arrives next lingers, on a server with nothing to do…
     let lingering = [submit(2), submit(3)];
-    assert!(lingering[0].wait(Duration::from_millis(50)).is_none());
+    assert!(lingering[0]
+        .recv_timeout(Duration::from_millis(50))
+        .is_err());
     assert_eq!(lanes.queue.depth(), 2);
     // …until the queue holds `max_batch`.
     let filler = submit(4);
     for (k, slot) in (2..).zip(lingering.iter().chain([&filler])) {
-        assert_answers(slot.wait(PATIENCE), k);
+        assert_answers(slot.recv_timeout(PATIENCE).ok(), k);
     }
     let rounds: Vec<Vec<Cuboid>> = [vec![0], vec![1], vec![2, 3, 4]]
         .into_iter()
@@ -156,9 +158,9 @@ fn arrivals_behind_a_young_batch_run_as_one_fifo_batch() {
         .collect();
     assert_eq!(lanes.queue.depth(), K as usize, "the free lane must hold");
     service.open();
-    assert_answers(first.wait(PATIENCE), 0);
+    assert_answers(first.recv_timeout(PATIENCE).ok(), 0);
     for (k, slot) in (1..=K).zip(&slots) {
-        assert_answers(slot.wait(PATIENCE), k);
+        assert_answers(slot.recv_timeout(PATIENCE).ok(), k);
     }
     // Two rounds reached the store: the occupant, then all K together
     // in submission order.
@@ -184,14 +186,14 @@ fn a_batch_older_than_the_linger_does_not_hold_up_later_queries() {
     // while the first stays parked.
     for k in 1..=10 {
         let slot = lanes.queue.submit(Echo::range(k), None, None).unwrap();
-        assert_answers(slot.wait(PATIENCE), k);
+        assert_answers(slot.recv_timeout(PATIENCE).ok(), k);
     }
     assert!(
-        stuck.wait(Duration::ZERO).is_none(),
+        stuck.try_recv().is_err(),
         "the parked batch is still parked"
     );
     service.open();
-    assert_answers(stuck.wait(PATIENCE), 0);
+    assert_answers(stuck.recv_timeout(PATIENCE).ok(), 0);
     lanes.close_and_join();
 }
 
@@ -256,7 +258,7 @@ fn both_lanes_held_and_a_full_queue_shed_the_next_query_without_blocking() {
     );
     service.open();
     for (k, slot) in (0u32..).zip(&slots) {
-        assert_answers(slot.wait(PATIENCE), k);
+        assert_answers(slot.recv_timeout(PATIENCE).ok(), k);
     }
     lanes.close_and_join();
 }

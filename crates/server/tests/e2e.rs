@@ -17,14 +17,20 @@
 
 mod support;
 
+/// The `blot` CLI's stats renderer, the one way a stats document
+/// becomes text.
+#[path = "../../cli/src/stats.rs"]
+mod cli_stats;
+
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use blot_core::prelude::*;
+use blot_json::Json;
 use blot_obs::{names, SpanContext};
-use blot_server::client::{Client, ClientConfig};
+use blot_server::client::{Client, ClientConfig, ClientError};
 use blot_server::server::{Server, ServerConfig};
 use blot_server::wire::{self, ErrorCode, Response};
 use blot_storage::MemBackend;
@@ -62,6 +68,14 @@ fn build_store() -> (TestStore, RecordBatch) {
         )
         .unwrap();
     (store, data)
+}
+
+/// A client that never retries: each query is one attempt.
+fn single_shot() -> ClientConfig {
+    ClientConfig {
+        max_retries: 0,
+        ..ClientConfig::default()
+    }
 }
 
 fn probe_queries(universe: &Cuboid, n: usize) -> Vec<Cuboid> {
@@ -122,14 +136,17 @@ fn concurrent_remote_queries_are_bit_identical_to_in_process() {
 #[test]
 fn burst_over_queue_depth_is_shed_with_overloaded() {
     let (store, _) = build_store();
+    let q = probe_queries(&store.universe(), 1)[0];
     let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
         queue_depth: 2,
+        // Ten connections at once (two occupants, a burst of eight),
+        // each held by its own handler.
+        handlers: 10,
         ..ServerConfig::default()
     };
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
-    let q = probe_queries(&service.universe(), 1)[0];
 
     // Park a batch in each lane, so whatever the burst gets admitted
     // stays queued: the overload window is deterministic.
@@ -140,10 +157,15 @@ fn burst_over_queue_depth_is_shed_with_overloaded() {
         .map(|_| {
             let (addr, tx) = (addr.clone(), tx.clone());
             std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).unwrap();
+                let mut client = Client::connect_with(&addr, single_shot()).unwrap();
                 // Single shot, no retry: each attempt must get *some*
                 // structured answer within the timeout.
-                tx.send(client.query_once(&q).unwrap()).unwrap();
+                let outcome = match client.query(&q) {
+                    Ok(result) => Ok(result),
+                    Err(ClientError::Exhausted { last, .. }) => Err(last),
+                    Err(e) => panic!("expected an answer or a shed reply, got {e}"),
+                };
+                tx.send(outcome).unwrap();
             })
         })
         .collect();
@@ -182,6 +204,7 @@ fn burst_over_queue_depth_is_shed_with_overloaded() {
 #[test]
 fn client_retry_with_backoff_survives_overload() {
     let (store, _) = build_store();
+    let q = probe_queries(&store.universe(), 1)[0];
     let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
         queue_depth: 1,
@@ -189,7 +212,6 @@ fn client_retry_with_backoff_survives_overload() {
     };
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
-    let q = probe_queries(&service.universe(), 1)[0];
 
     // Occupy both lanes and the queue's one slot.
     let mut occupants = occupy_lanes(&service, &addr, q);
@@ -235,8 +257,119 @@ fn client_retry_with_backoff_survives_overload() {
 }
 
 #[test]
+fn a_connection_past_the_handler_pool_is_refused_then_admitted_on_retry() {
+    let (store, _) = build_store();
+    let store = Arc::new(store);
+    let q = probe_queries(&store.universe(), 1)[0];
+    let config = ServerConfig {
+        handlers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr().to_string();
+
+    // Two open connections hold both handlers for as long as they last.
+    let mut held: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(&addr).unwrap();
+            client.ping().unwrap();
+            client
+        })
+        .collect();
+
+    // A third gets a structured shed reply at once, not a wait for a
+    // handler that will never come.
+    let mut third = Client::connect_with(&addr, single_shot()).unwrap();
+    match third.query(&q) {
+        Err(ClientError::Exhausted { last, .. }) => {
+            assert_eq!(last.code, ErrorCode::Overloaded);
+            assert!(last.retry_after_ms > 0, "a refusal carries a retry hint");
+        }
+        other => panic!("expected an Overloaded refusal, got {other:?}"),
+    }
+
+    // A retrying client is refused too, and gets in once a handler
+    // frees up.
+    let retrying = std::thread::spawn(move || {
+        let config = ClientConfig {
+            max_retries: 20,
+            ..ClientConfig::default()
+        };
+        let mut client = Client::new(&addr, config);
+        (client.query(&q).unwrap().records, client.retries())
+    });
+    if blot_obs::enabled() {
+        wait_until("the retrying client has been refused", || {
+            server
+                .registry()
+                .snapshot()
+                .counter("server.connections_rejected")
+                >= Some(2)
+        });
+    } else {
+        // No counter to watch: give the first attempt time to land.
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    drop(held.pop());
+    let (records, retries) = retrying.join().unwrap();
+    assert_eq!(records, store.query(&q).unwrap().records);
+    assert!(retries > 0, "the client must have been refused and retried");
+    held.clear();
+    let _ = server.shutdown(Duration::from_secs(10));
+}
+
+/// A stand-in for a server whose first connection dies mid-request: it
+/// reads the start of the first request and drops the socket, then
+/// forwards every later connection to `upstream` byte for byte.
+fn reset_once_then_forward(upstream: String) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // Detached on purpose: the loop lives for the test process.
+    std::thread::spawn(move || {
+        let mut incoming = listener.incoming();
+        if let Some(Ok(mut first)) = incoming.next() {
+            let mut start = [0u8; 8];
+            let _ = first.read(&mut start);
+            drop(first); // connection reset mid-request
+        }
+        for client in incoming {
+            let Ok(client) = client else { continue };
+            let server = TcpStream::connect(&upstream).unwrap();
+            let legs = [
+                (client.try_clone().unwrap(), server.try_clone().unwrap()),
+                (server, client),
+            ];
+            for (mut from, mut to) in legs {
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(std::net::Shutdown::Write);
+                });
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_query_whose_connection_is_reset_reconnects_and_answers_exactly() {
+    let (store, _) = build_store();
+    let store = Arc::new(store);
+    let q = probe_queries(&store.universe(), 1)[0];
+    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let stub = reset_once_then_forward(server.local_addr().to_string());
+
+    let mut client = Client::connect(&stub).unwrap();
+    let remote = client.query(&q).unwrap();
+    assert_eq!(remote.records, store.query(&q).unwrap().records);
+    assert_eq!(client.retries(), 1, "one reconnect after the reset");
+    drop(client);
+    let _ = server.shutdown(Duration::from_secs(10));
+}
+
+#[test]
 fn graceful_shutdown_answers_in_flight_queries() {
     let (store, _) = build_store();
+    let queries = probe_queries(&store.universe(), 4);
     let service = Latched::holding(Arc::new(store), 2);
     let config = ServerConfig {
         // One query a batch, so two of the four below stay queued.
@@ -248,10 +381,7 @@ fn graceful_shutdown_answers_in_flight_queries() {
 
     // Two queries are executing and two sit in the admission queue when
     // shutdown begins; all four must still be answered.
-    let in_flight: Vec<_> = probe_queries(&service.universe(), 4)
-        .into_iter()
-        .map(|q| ask(&addr, q))
-        .collect();
+    let in_flight: Vec<_> = queries.into_iter().map(|q| ask(&addr, q)).collect();
     service.wait_held(2);
     wait_until("two queries are queued", || server.queued() == 2);
     let flag = server.shutdown_flag();
@@ -277,18 +407,21 @@ fn graceful_shutdown_answers_in_flight_queries() {
 #[test]
 fn a_request_timeout_expiry_is_answered_with_a_structured_error() {
     let (store, _) = build_store();
+    let q = probe_queries(&store.universe(), 1)[0];
     let service = Latched::holding(Arc::new(store), 1);
     let config = ServerConfig {
         request_timeout: Duration::from_millis(50),
         ..ServerConfig::default()
     };
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
-    let q = probe_queries(&service.universe(), 1)[0];
+    let mut client = Client::connect_with(&server.local_addr().to_string(), single_shot()).unwrap();
 
     // The query's batch is parked past the handler's patience: the
     // client still gets an answer, and the connection stays usable.
-    let timed_out = client.query_once(&q).unwrap().unwrap_err();
+    let timed_out = match client.query(&q) {
+        Err(ClientError::Server(e)) => e,
+        other => panic!("expected a structured error, got {other:?}"),
+    };
     assert_eq!(timed_out.code, ErrorCode::Internal);
     assert!(
         timed_out.message.contains("timed out"),
@@ -330,9 +463,29 @@ fn stats_remote_reply_matches_local_snapshot_shape() {
             }
         );
     }
-    assert!(doc.get("drift").is_some());
-    let text = doc.get("text").and_then(blot_json::Json::as_str).unwrap();
-    assert!(text.contains("cost-model drift"));
+
+    // Local `blot stats --json` prints this same document for a store.
+    let local = Json::Obj(blot_server::stats::document(
+        &store.metrics_snapshot(),
+        &store.drift_report(DriftBand::default()),
+        None,
+    ));
+    let keys = |doc: &Json| match doc {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("a stats document is an object, got {other}"),
+    };
+    assert_eq!(
+        keys(&local),
+        keys(&doc),
+        "one document shape, local and remote"
+    );
+    for doc in [&local, &doc] {
+        assert!(doc.get("text").is_none(), "no pre-rendered text: {doc}");
+        // …and the CLI's one renderer shows both the same way.
+        let text = cli_stats::to_text(doc);
+        assert!(text.contains("cost-model drift"), "{text}");
+        assert!(text.contains("zone-map pruning"), "{text}");
+    }
     let _ = server.shutdown(Duration::from_secs(10));
 }
 
@@ -587,10 +740,6 @@ impl QueryService for Bulk {
 
     fn drift_report(&self, band: DriftBand) -> DriftReport {
         DriftReport::from_samples(band, [])
-    }
-
-    fn universe(&self) -> Cuboid {
-        self.universe
     }
 
     fn executor(&self) -> Arc<blot_storage::ScanExecutor> {

@@ -158,10 +158,6 @@ impl<S: QueryService + ?Sized> QueryService for Latched<S> {
         self.inner.stats_json(band)
     }
 
-    fn universe(&self) -> Cuboid {
-        self.inner.universe()
-    }
-
     fn executor(&self) -> Arc<blot_storage::ScanExecutor> {
         self.inner.executor()
     }
@@ -243,10 +239,6 @@ impl QueryService for Echo {
 
     fn drift_report(&self, band: DriftBand) -> DriftReport {
         DriftReport::from_samples(band, [])
-    }
-
-    fn universe(&self) -> Cuboid {
-        Cuboid::new(Point::new(0.0, 0.0, 0.0), Point::new(1e6, 1e6, 1e6))
     }
 
     fn executor(&self) -> Arc<blot_storage::ScanExecutor> {
