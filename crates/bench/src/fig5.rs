@@ -45,13 +45,9 @@ fn measure(ctx: &Context, env: &blot_storage::EnvProfile) -> Fig5Env {
         let pts: Vec<&MeasurePoint> = points.iter().filter(|m| m.scheme == scheme).collect();
         let mean = pts.iter().map(|m| m.avg_ms).sum::<f64>() / pts.len() as f64;
         let ss_tot: f64 = pts.iter().map(|m| (m.avg_ms - mean).powi(2)).sum();
-        #[allow(clippy::cast_precision_loss)]
         let ss_res: f64 = pts
             .iter()
-            .map(|m| {
-                let pred = (p.extra_ms + p.ms_per_record * m.records as f64).get();
-                (m.avg_ms - pred).powi(2)
-            })
+            .map(|m| (m.avg_ms - model.partition_cost(scheme, m.records as f64).get()).powi(2))
             .sum();
         let r2 = if ss_tot > 0.0 {
             1.0 - ss_res / ss_tot

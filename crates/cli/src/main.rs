@@ -319,9 +319,9 @@ fn parse_range(args: &Args) -> Result<Cuboid, String> {
 }
 
 /// `blot explain`: how the store would answer a range on each replica —
-/// predicted cost, and what the in-memory partition index prunes —
-/// without reading a unit. The replica `query` would try first is
-/// marked.
+/// what the in-memory partition index prunes, and the predicted cost of
+/// the surviving units that routing ranks by — without reading a unit.
+/// The replica `query` would try first is marked.
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let range = parse_range(args)?;
     let store = open_store(args)?;
@@ -331,8 +331,8 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             .plan_on(replica.id, &range)
             .map_err(|e| e.to_string())?;
         pipe_println(&format!(
-            "replica {}: {} — predicted {:.0} simulated ms; {} units involved, {} pruned, \
-             {} surviving ({:.1} KiB){}",
+            "replica {}: {} — predicted {:.0} simulated ms over the surviving units; \
+             {} units involved, {} pruned, {} surviving ({:.1} KiB){}",
             replica.id,
             replica.config,
             plan.predicted_ms,
@@ -541,8 +541,8 @@ fn parse_band(args: &Args) -> Result<DriftBand, String> {
 /// workload — centroid queries of shrinking extent alternating with
 /// "everything since T" tail probes of shrinking tail, plus one scrub
 /// pass. The tail probes are the zone-map-sensitive half: on a store
-/// whose units carry footers they prune, which is exactly the workload
-/// shape whose measured cost drifts away from the Eq. 6 prediction.
+/// whose units carry footers they prune, and their plans price only the
+/// surviving units (an all-pruned one records a drift ratio of 1).
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let (doc, damaged) = if let Some(addr) = args.get("remote") {
         let band = if args.get("band").is_some() {

@@ -208,6 +208,41 @@ fn stats_reports_metrics_and_drift() {
 }
 
 #[test]
+fn explain_routes_to_the_smallest_prediction() {
+    let dirs = Dirs::new("explain");
+    let store = two_replica_store(&dirs);
+    // A dense box, the whole universe, and a thin slab after the last
+    // fix (time ends near 3 128 s) that the zone maps prune entirely.
+    for (center, size) in [
+        ("121,31,1500", "0.4,0.4,1000"),
+        ("121,31,4000", "10,10,1000000"),
+        ("121,31,3110", "2,2,20"),
+    ] {
+        let (ok, out) = blot(&[
+            "explain", "--store", &store, "--center", center, "--size", size,
+        ]);
+        assert!(ok, "{out}");
+        let predicted = |line: &str| -> f64 {
+            let rest = line.split("predicted ").nth(1).expect("a prediction");
+            rest.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        let lines: Vec<&str> = out.lines().filter(|l| l.starts_with("replica ")).collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        let routed: Vec<&&str> = lines.iter().filter(|l| l.ends_with("<- routed")).collect();
+        assert_eq!(routed.len(), 1, "exactly one replica is routed: {out}");
+        let min = lines.iter().map(|l| predicted(l)).fold(f64::MAX, f64::min);
+        assert!(
+            predicted(routed[0]) <= min,
+            "the routed plan has the smallest prediction: {out}"
+        );
+        assert!(
+            lines.iter().all(|l| l.contains("over the surviving units")),
+            "{out}"
+        );
+    }
+}
+
+#[test]
 fn trace_prints_an_indented_span_tree_and_chrome_events() {
     let dirs = Dirs::new("trace");
     let store = two_replica_store(&dirs);

@@ -28,7 +28,7 @@
 //! that figure.
 
 use blot_codec::{EncodingScheme, Layout, SchemeTable};
-use blot_geo::{intersection_probability, Cuboid, QuerySize};
+use blot_geo::{intersection_probability, QuerySize};
 use blot_index::PartitioningScheme;
 use blot_model::RecordBatch;
 use blot_storage::scan::{run_scan, ScanTask};
@@ -349,7 +349,15 @@ impl CostModel {
         )
     }
 
-    /// Equation 7 with a known involved-partition count.
+    /// Equation 6: the cost of scanning one partition of `records`
+    /// records, `|D(p)|/ScanRate + ExtraTime`.
+    #[must_use]
+    pub fn partition_cost(&self, encoding: EncodingScheme, records: f64) -> Millis {
+        let p = self.params(encoding);
+        p.ms_per_record * records + p.extra_ms
+    }
+
+    /// Equation 7 with a known involved-partition count: `np` × Eq. 6 at `|D|/|P|`.
     #[must_use]
     pub fn cost_with_np(
         &self,
@@ -358,10 +366,9 @@ impl CostModel {
         encoding: EncodingScheme,
         dataset_records: f64,
     ) -> Millis {
-        let p = self.params(encoding);
         #[allow(clippy::cast_precision_loss)]
         let per_partition_records = dataset_records / total_partitions as f64;
-        np.get() * (p.ms_per_record * per_partition_records + p.extra_ms)
+        np.get() * self.partition_cost(encoding, per_partition_records)
     }
 
     /// Estimated cost of a *grouped* query on a replica (Equations 7 and
@@ -375,20 +382,6 @@ impl CostModel {
         dataset_records: f64,
     ) -> Millis {
         let np = Self::expected_involved(scheme, size);
-        self.cost_with_np(np, scheme.len(), encoding, dataset_records)
-    }
-
-    /// Estimated cost of a *concrete* query: `Np` is exact (partitioning
-    /// index lookup), the rest is Equation 7.
-    #[must_use]
-    pub fn concrete_query_cost(
-        &self,
-        range: &Cuboid,
-        scheme: &PartitioningScheme,
-        encoding: EncodingScheme,
-        dataset_records: f64,
-    ) -> Millis {
-        let np = PartitionCount::of(scheme.involved(range).len());
         self.cost_with_np(np, scheme.len(), encoding, dataset_records)
     }
 }
@@ -539,15 +532,11 @@ mod tests {
     }
 
     #[test]
-    fn concrete_cost_uses_exact_involvement() {
-        let s = sample();
-        let universe = FleetConfig::small().universe();
-        let scheme = PartitioningScheme::build(&s, universe, SchemeSpec::new(16, 4));
-        let model = CostModel::calibrate(&EnvProfile::local_cluster(), &s, 5);
+    fn eq7_is_np_partitions_of_the_mean_size() {
+        let model = CostModel::calibrate(&EnvProfile::local_cluster(), &sample(), 5);
         let enc = EncodingScheme::new(Layout::Row, Compression::Plain);
-        let whole = model.concrete_query_cost(&universe, &scheme, enc, 1e6);
-        let np_all = PartitionCount::of(scheme.len());
-        let expect = model.cost_with_np(np_all, scheme.len(), enc, 1e6);
-        assert!((whole.get() - expect.get()).abs() < 1e-9);
+        let eq7 = model.cost_with_np(PartitionCount::of(7), 64, enc, 1e6);
+        let eq6 = model.partition_cost(enc, 1e6 / 64.0);
+        assert!((eq7.get() - 7.0 * eq6.get()).abs() <= 1e-9 * eq7.get());
     }
 }

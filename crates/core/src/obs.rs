@@ -4,9 +4,9 @@
 //! Every [`BlotStore`](crate::store::BlotStore) owns a [`StoreMetrics`]
 //! bundle: pre-registered handles into a [`MetricsRegistry`] that the
 //! hot paths record into without ever touching the registry again. The
-//! headline instrument is *drift* — each `query_on` records the ratio
-//! of the cost model's predicted `Cost(q, r)` (Eq. 6/7) to the measured
-//! simulated time into a per-(replica, scheme) histogram, and
+//! headline instrument is *drift* — each query records its plan's
+//! predicted `Cost(q, r)` (Eq. 6) over the measured simulated time (1
+//! when every unit is pruned) into a per-(replica, scheme) histogram, and
 //! [`DriftReport`] flags the encoding schemes whose median ratio has
 //! left a configurable band. A flagged scheme means the calibrated
 //! `ScanRate`/`ExtraTime` parameters (§V-B) no longer describe the

@@ -27,7 +27,6 @@ use blot_storage::{Backend, EnvProfile, ScanExecutor, StorageError, UnitKey};
 use crate::cost::CostModel;
 use crate::obs::{DriftBand, DriftReport, ReplicaMetrics, StoreMetrics};
 use crate::replica::ReplicaConfig;
-use crate::units::Millis;
 use crate::CoreError;
 
 /// A physical replica that has been built into the backend.
@@ -115,8 +114,8 @@ impl UnitEntry {
 pub struct ScanPlan {
     /// Replica planned on.
     pub replica: u32,
-    /// The model's `Cost(q, r)` in simulated ms — a function of the
-    /// involved partitions only, not (yet) of the survivors.
+    /// The model's `Cost(q, r)` in simulated ms — Eq. 6 summed over the
+    /// *surviving* units (0 when all are pruned) — that routing ranks by.
     pub predicted_ms: f64,
     /// Partitions the range touches, pruned ones included.
     pub units_involved: usize,
@@ -189,7 +188,7 @@ pub struct SlowQueryEntry {
     pub units_scanned: usize,
     /// Involved units skipped via their zone map.
     pub units_skipped: usize,
-    /// The cost model's predicted `Cost(q, r)` in simulated ms.
+    /// The plan's predicted `Cost(q, r)` ([`ScanPlan::predicted_ms`]).
     pub predicted_ms: f64,
     /// Measured simulated ms (the paper's query cost).
     pub measured_ms: f64,
@@ -299,15 +298,17 @@ fn partition_id(pid: usize) -> Result<u32, CoreError> {
     u32::try_from(pid).map_err(|_| CoreError::IdOverflow { what: "partition" })
 }
 
+/// One replica and the query's plan on it.
+type Attempt<'a> = (&'a BuiltReplica, ScanPlan);
+
 /// One query on its way through [`BlotStore::run_queries`].
 struct QueryPlan<'a> {
-    range: Cuboid,
-    /// Replicas not tried yet, cheapest first.
-    untried: std::vec::IntoIter<u32>,
+    /// Plans on the replicas not tried yet, cheapest first.
+    untried: std::vec::IntoIter<Attempt<'a>>,
     /// Replicas that failed, in the order they were tried.
     failed_over: Vec<u32>,
-    /// This round's attempt: the replica and the query's plan on it.
-    attempt: Option<(&'a BuiltReplica, ScanPlan)>,
+    /// This round's attempt.
+    attempt: Option<Attempt<'a>>,
     /// The `store.query` root span of a traced query.
     root: Option<TraceSpan>,
     /// Wall-time span of a routed query, recorded when the plan drops.
@@ -317,6 +318,23 @@ struct QueryPlan<'a> {
 }
 
 impl QueryPlan<'_> {
+    /// Takes the next plan as this round's attempt, closing the `route`
+    /// span (if any) with what the partition index decided — or answers
+    /// [`CoreError::NoReplicas`]: only an empty store routes nowhere.
+    fn plan_next(&mut self, span: Option<TraceSpan>) {
+        let Some((replica, attempt)) = self.untried.next() else {
+            self.finish(Err(CoreError::NoReplicas));
+            return;
+        };
+        if let Some(mut span) = span {
+            span.note(names::REPLICA, u64::from(attempt.replica));
+            span.note(names::UNITS, attempt.units_involved as u64);
+            span.note(names::UNITS_SKIPPED, attempt.units_skipped as u64);
+            span.note(names::BYTES_SKIPPED, attempt.bytes_skipped);
+        }
+        self.attempt = Some((replica, attempt));
+    }
+
     /// Closes the root span (annotated from a successful result) and
     /// stores the answer.
     fn finish(&mut self, answer: Result<QueryResult, CoreError>) {
@@ -679,19 +697,35 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// first — the query-routing decision of §II-E ("query cost
     /// estimation helps the system to determine which one of the
     /// existing replicas is supposed to have the least processing
-    /// time").
+    /// time"), as priced by [`plan_on`](Self::plan_on).
     #[must_use]
     pub fn route(&self, range: &Cuboid) -> Vec<u32> {
-        let mut ranked: Vec<(&BuiltReplica, Millis)> = self
+        let ranked = self.ranked_plans(range, None);
+        ranked.into_iter().map(|(r, _)| r.id).collect()
+    }
+
+    /// The plans a query tries in turn: on the `forced` replica, or on
+    /// every replica by `(predicted_ms, units_involved, id)` — of plans
+    /// pruned to nothing, the fewest involved units win — counting the
+    /// winner's `routed_first`. Every built replica plans: its id exists
+    /// and its partition ids were checked when it was built or restored.
+    fn ranked_plans(&self, range: &Cuboid, forced: Option<u32>) -> Vec<Attempt<'_>> {
+        let mut ranked: Vec<Attempt<'_>> = self
             .replicas
             .iter()
-            .map(|r| (r, self.predicted_cost(r, range)))
+            .filter(|r| forced.is_none_or(|id| id == r.id))
+            .filter_map(|r| Some((r, self.plan_on(r.id, range).ok()?)))
             .collect();
-        ranked.sort_by(|a, b| a.1.get().total_cmp(&b.1.get()));
-        if let Some((winner, _)) = ranked.first() {
+        ranked.sort_by(|(_, a), (_, b)| {
+            a.predicted_ms
+                .total_cmp(&b.predicted_ms)
+                .then(a.units_involved.cmp(&b.units_involved))
+                .then(a.replica.cmp(&b.replica))
+        });
+        if let (None, Some((winner, _))) = (forced, ranked.first()) {
             winner.obs.routed_first.inc();
         }
-        ranked.into_iter().map(|(r, _)| r.id).collect()
+        ranked
     }
 
     /// Executes a range query on the estimated-cheapest replica, failing
@@ -715,6 +749,7 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// * [`CoreError::NoSuchReplica`] — unknown id;
     /// * [`CoreError::Storage`] — a unit could not be read or decoded.
     pub fn query_on(&self, id: u32, range: &Cuboid) -> Result<QueryResult, CoreError> {
+        self.replica(id)?;
         let mut answers = self.run_queries(&[TracedQuery::new(*range)], Some(id), false);
         answers.pop().unwrap_or(Err(CoreError::NoReplicas))
     }
@@ -724,7 +759,7 @@ impl<B: Backend + 'static> BlotStore<B> {
     /// replica, the scan tasks of all queries are flattened into a
     /// single batch (so a burst of small queries pays the pool's
     /// submission overhead once), and per-query results are sliced back
-    /// out in order. A query whose replica fails is re-planned on its
+    /// out in order. A query whose replica fails runs its plan on the
     /// next-cheapest one in a following round (as in [`Self::query`], a
     /// batch of one); one query's failure never aborts its neighbours.
     ///
@@ -760,13 +795,13 @@ impl<B: Backend + 'static> BlotStore<B> {
         self.run_queries(queries, None, true)
     }
 
-    /// The one query pipeline. Each round *plans* every unanswered
-    /// query on its next untried replica, *executes* all their scan
+    /// The one query pipeline. Each round *takes* every unanswered
+    /// query's next plan (all made up front), *executes* all their scan
     /// tasks in one pooled round and *merges* each query's reports; a
-    /// query whose replica failed is re-planned next round. Scan errors
-    /// stay inside the task results so one damaged replica never aborts
-    /// its neighbours. A round whose plans pruned every unit gives the
-    /// pool nothing to run.
+    /// query whose replica failed takes its next plan next round. Scan
+    /// errors stay inside the task results so one damaged replica never
+    /// aborts its neighbours. A round whose plans pruned every unit gives
+    /// the pool nothing to run.
     fn run_queries(
         &self,
         queries: &[TracedQuery],
@@ -784,7 +819,7 @@ impl<B: Backend + 'static> BlotStore<B> {
             for plan in plans.iter_mut().filter(|p| p.answer.is_none()) {
                 if plan.attempt.is_none() {
                     let span = plan.root.as_ref().map(|r| r.child(names::ROUTE));
-                    self.plan_next(plan, span);
+                    plan.plan_next(span);
                 }
                 let Some((_, attempt)) = &plan.attempt else {
                     continue;
@@ -842,12 +877,12 @@ impl<B: Backend + 'static> BlotStore<B> {
         plans.into_iter().filter_map(|p| p.answer).collect()
     }
 
-    /// Opens one query's plan and plans its first attempt. A routed
-    /// query (`forced` is `None`) is counted, timed into
-    /// `store.query_wall_ms` until its batch returns and — when `traced`
-    /// — given a `store.query` root span whose first `route` child covers
-    /// the ranking and the plan; a forced one tries exactly that replica
-    /// and records none of these.
+    /// Opens one query's plan: its [`ranked_plans`](Self::ranked_plans),
+    /// the first of them its first attempt. A routed query (`forced` is
+    /// `None`) is counted, timed into `store.query_wall_ms` until its
+    /// batch returns and — when `traced` — given a `store.query` root
+    /// span whose first `route` child covers the ranking; a forced one
+    /// records none of these.
     fn start_plan(&self, query: &TracedQuery, forced: Option<u32>, traced: bool) -> QueryPlan<'_> {
         let mut wall = None;
         if forced.is_none() {
@@ -859,39 +894,16 @@ impl<B: Backend + 'static> BlotStore<B> {
             None => self.recorder.span(names::QUERY),
         });
         let route_span = root.as_ref().map(|r| r.child(names::ROUTE));
-        let untried = forced.map_or_else(|| self.route(&query.range), |id| vec![id]);
         let mut plan = QueryPlan {
-            range: query.range,
-            untried: untried.into_iter(),
+            untried: self.ranked_plans(&query.range, forced).into_iter(),
             failed_over: Vec::new(),
             attempt: None,
             root,
             _wall: wall,
             answer: None,
         };
-        self.plan_next(&mut plan, route_span);
+        plan.plan_next(route_span);
         plan
-    }
-
-    /// Plans `plan` on its next untried replica — this round's attempt —
-    /// or answers it with the error that stops it. The `route` span, when
-    /// there is one, closes here carrying what the partition index
-    /// decided.
-    fn plan_next<'a>(&'a self, plan: &mut QueryPlan<'a>, span: Option<TraceSpan>) {
-        // An unanswered plan has a replica left unless none is built.
-        let planned = plan.untried.next().ok_or(CoreError::NoReplicas);
-        match planned.and_then(|id| Ok((self.replica(id)?, self.plan_on(id, &plan.range)?))) {
-            Ok((replica, attempt)) => {
-                if let Some(mut span) = span {
-                    span.note(names::REPLICA, u64::from(attempt.replica));
-                    span.note(names::UNITS, attempt.units_involved as u64);
-                    span.note(names::UNITS_SKIPPED, attempt.units_skipped as u64);
-                    span.note(names::BYTES_SKIPPED, attempt.bytes_skipped);
-                }
-                plan.attempt = Some((replica, attempt));
-            }
-            Err(e) => plan.finish(Err(e)),
-        }
     }
 
     fn replica(&self, id: u32) -> Result<&BuiltReplica, CoreError> {
@@ -900,32 +912,23 @@ impl<B: Backend + 'static> BlotStore<B> {
             .ok_or(CoreError::NoSuchReplica { id })
     }
 
-    /// The model's `Cost(q, r)` (Eq. 6/7): what routing ranks by and the
-    /// drift histogram compares measured cost against.
-    fn predicted_cost(&self, replica: &BuiltReplica, range: &Cuboid) -> Millis {
-        #[allow(clippy::cast_precision_loss)]
-        let records = replica.records as f64;
-        self.model
-            .concrete_query_cost(range, &replica.scheme, replica.config.encoding, records)
-    }
-
-    /// Plans a query on one replica without touching the backend:
-    /// predicted `Cost(q, r)` (captured before execution so the drift
-    /// histogram compares the same quantity routing used) plus one scan
-    /// task per involved partition whose zone map in the partition index
-    /// does not rule it out. This is the one place units are pruned: a
-    /// skipped unit costs no task, no pool slot, no backend call and no
-    /// simulated time.
+    /// Plans a query on one replica without touching the backend: one
+    /// scan task per involved partition whose zone map in the partition
+    /// index does not rule it out, priced by Eq. 6 at each survivor's
+    /// in-memory record count. This is the one place units are pruned
+    /// and queries priced: a skipped unit costs no task, no pool slot, no
+    /// backend call and no simulated or predicted time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoSuchReplica`] for an unknown id.
     pub fn plan_on(&self, id: u32, range: &Cuboid) -> Result<ScanPlan, CoreError> {
         let replica = self.replica(id)?;
-        let involved = replica.scheme.involved(range);
+        let (scheme, encoding) = (&replica.scheme, replica.config.encoding);
+        let involved = scheme.involved(range);
         let mut plan = ScanPlan {
             replica: id,
-            predicted_ms: self.predicted_cost(replica, range).get(),
+            predicted_ms: 0.0,
             units_involved: involved.len(),
             units_skipped: 0,
             bytes_skipped: 0,
@@ -939,13 +942,15 @@ impl<B: Backend + 'static> BlotStore<B> {
                 plan.units_skipped += 1;
                 plan.bytes_skipped += entry.len.saturating_sub(ZONE_MAP_FOOTER_LEN as u64);
             } else {
+                let records = scheme.partitions().get(pid).map_or(0.0, |p| p.count as f64);
+                plan.predicted_ms += self.model.partition_cost(encoding, records).get();
                 plan.surviving_bytes += entry.len;
                 plan.tasks.push(ScanTask {
                     key: UnitKey {
                         replica: id,
                         partition: partition_id(pid)?,
                     },
-                    scheme: replica.config.encoding,
+                    scheme: encoding,
                     range: Some(*range),
                 });
             }
@@ -988,6 +993,9 @@ impl<B: Backend + 'static> BlotStore<B> {
         replica.obs.sim_ms.record(total_ms);
         if total_ms > 0.0 {
             replica.obs.drift.record(plan.predicted_ms / total_ms);
+        } else if plan.tasks.is_empty() {
+            // Every unit pruned: predicted 0, measured 0 — agreement.
+            replica.obs.drift.record(1.0);
         }
         if let Some(threshold) = self.slow_query_ms() {
             if total_ms > threshold {

@@ -180,6 +180,33 @@ fn headroom_query_skips_every_involved_unit() {
 }
 
 #[test]
+fn all_pruned_query_records_a_drift_sample_of_agreement() {
+    if !blot_obs::enabled() {
+        return;
+    }
+    let (store, data) = store_with_data();
+    let q = tail_query(&store.universe(), last_fix_time(&data) as f64 + 1.0);
+    let drift = |id: u32| store.replicas()[id as usize].obs.drift.snapshot();
+    let result = store.query(&q).unwrap();
+    assert_eq!(result.units_skipped, result.partitions_scanned);
+    assert_eq!(result.sim_ms, 0.0);
+    let plan = store.plan_on(result.replica, &q).unwrap();
+    assert_eq!(
+        plan.predicted_ms, 0.0,
+        "nothing survives, nothing is priced"
+    );
+    for id in 0..2 {
+        let want = u64::from(id == result.replica);
+        assert_eq!(drift(id).count(), want, "one sample, on the routed replica");
+    }
+    assert_eq!(
+        drift(result.replica).sum,
+        1.0,
+        "predicted 0, measured 0: agreement"
+    );
+}
+
+#[test]
 fn straddling_query_prunes_some_units_and_scans_the_rest() {
     let (store, data) = store_with_data();
     let u = store.universe();

@@ -61,6 +61,36 @@ fn ranges(universe: &Cuboid, n: usize) -> Vec<Cuboid> {
         .collect()
 }
 
+/// A seeded ladder of centroid, mixed and thin-tail ranges: dense boxes
+/// around the centre; small boxes in thin time slabs around the last
+/// fix, which the zone maps of fine partitions prune before those of
+/// coarse ones; and "everything since T" slabs of shrinking depth that
+/// end past the last fix.
+fn routing_ladder(universe: &Cuboid, t_last: f64) -> Vec<Cuboid> {
+    let mut rng = SmallRng::seed_from_u64(0x2047E);
+    let centroid = (2..8).map(|k| {
+        let f = f64::from(k);
+        let e = |axis| universe.extent(axis) / f;
+        Cuboid::from_centroid(universe.centroid(), QuerySize::new(e(0), e(1), e(2)))
+    });
+    let mixed: Vec<Cuboid> = (0..48)
+        .map(|_| {
+            let w = universe.extent(0) * rng.gen_range(0.05..0.3);
+            let h = universe.extent(1) * rng.gen_range(0.05..0.3);
+            let x = rng.gen_range(universe.min().x + w / 2.0..universe.max().x - w / 2.0);
+            let y = rng.gen_range(universe.min().y + h / 2.0..universe.max().y - h / 2.0);
+            let t = t_last + rng.gen_range(-900.0..60.0);
+            Cuboid::from_centroid(Point::new(x, y, t), QuerySize::new(w, h, 60.0))
+        })
+        .collect();
+    let tail = (0..8).map(|k| {
+        let depth = 30.0 * f64::from(1u32 << k);
+        let lo = universe.min().with_axis(2, t_last - depth);
+        Cuboid::new(lo, universe.max())
+    });
+    centroid.chain(mixed).chain(tail).collect()
+}
+
 fn sorted(mut records: RecordBatch) -> RecordBatch {
     records.sort_by_oid_time();
     records
@@ -102,6 +132,54 @@ fn first_pruned_unit(store: &Store, replica: u32, range: &Cuboid) -> Option<Unit
             partition: u32::try_from(pid).unwrap(),
         })
         .find(|key| survivors.iter().all(|task| task.key != *key))
+}
+
+#[test]
+fn routing_ranks_the_plans_the_executor_runs() {
+    let (store, data) = store_and_data();
+    let t_last = *data.times.iter().max().unwrap() as f64;
+    let ladder = routing_ladder(&store.universe(), t_last);
+    let plans = |q: &Cuboid| -> Vec<ScanPlan> {
+        let ids = store.replicas().iter().map(|r| r.id);
+        ids.map(|id| store.plan_on(id, q).unwrap()).collect()
+    };
+
+    // A replica with nothing to scan is the one to route to, even when
+    // another involves fewer units — and the ladder holds such a range.
+    let mut fewest_involved_still_scans = 0;
+    for (i, q) in ladder.iter().enumerate() {
+        let plans = plans(q);
+        if plans.iter().any(|p| p.tasks.is_empty()) {
+            let routed = store.route(q)[0];
+            assert!(
+                plans[routed as usize].tasks.is_empty(),
+                "range {i}: routed to {routed}, which scans"
+            );
+            let fewest = plans.iter().min_by_key(|p| (p.units_involved, p.replica));
+            fewest_involved_still_scans += usize::from(fewest.is_some_and(|p| !p.tasks.is_empty()));
+        }
+    }
+    assert!(
+        fewest_involved_still_scans > 0,
+        "the ladder must prune some range to nothing on a replica other than the one with \
+         the fewest involved units"
+    );
+
+    // `route` is exactly the plans sorted by (predicted_ms,
+    // units_involved, id), and the same order every time.
+    for (i, q) in ladder.iter().enumerate() {
+        let mut plans = plans(q);
+        plans.sort_by(|a, b| {
+            a.predicted_ms
+                .total_cmp(&b.predicted_ms)
+                .then(a.units_involved.cmp(&b.units_involved))
+                .then(a.replica.cmp(&b.replica))
+        });
+        let ranked: Vec<u32> = plans.iter().map(|p| p.replica).collect();
+        let routed = store.route(q);
+        assert_eq!(routed, ranked, "range {i}");
+        assert_eq!(store.route(q), routed, "range {i}: a second call reorders");
+    }
 }
 
 #[test]
