@@ -7,6 +7,7 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
+    clippy::disallowed_methods,
     clippy::indexing_slicing,
     clippy::cast_possible_truncation,
     clippy::cast_possible_wrap,

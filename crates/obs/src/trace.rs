@@ -28,6 +28,8 @@
 //!   ([`TraceId`], [`SpanId`], [`SpanContext`]) stay real, because the
 //!   wire protocol carries them regardless of how the peer was built.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 use std::fmt;
 use std::fmt::Write as _;
 #[cfg(not(feature = "off"))]

@@ -6,7 +6,12 @@
 //! These tests only make sense with the record path compiled in.
 #![cfg(not(feature = "off"))]
 // Test code: panicking on setup failure is the desired behaviour.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 
 use blot_obs::{bucket_lower_bound, Histogram, MetricsRegistry, BUCKETS};
 

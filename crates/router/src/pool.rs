@@ -15,6 +15,8 @@
 //! structured failure — so the gather side never hangs on a dead
 //! shard; at worst it waits out the bounded I/O timeouts.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -1,10 +1,11 @@
 //! The accept loop and connection handlers.
 //!
 //! This file is the only place in the workspace's serving layer that
-//! creates OS threads (the `thread-discipline` audit waives exactly
-//! these sites): one accept-loop thread, a fixed pool of connection
-//! handlers, and the two batch lanes. All *scan* parallelism still runs
-//! on the shared [`blot_storage::ScanExecutor`], reached through
+//! creates OS threads (one of the three files that allow clippy's
+//! `disallowed-methods` for thread creation): one accept-loop thread,
+//! a fixed pool of connection handlers, and the two batch lanes. All
+//! *scan* parallelism still runs on the shared
+//! [`blot_storage::ScanExecutor`], reached through
 //! [`QueryService::query_batch_traced`].
 //!
 //! Connection lifecycle: a handler serves one connection for its whole
@@ -17,6 +18,8 @@
 //! poll one byte at a time between frames so shutdown and idle
 //! deadlines are observed within a tick (~150 ms) even on a silent
 //! connection.
+
+#![allow(clippy::disallowed_methods)]
 
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
@@ -45,11 +48,10 @@ const POLL_TICK: Duration = Duration::from_millis(150);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
-/// Spawns a named service thread. Centralised here so the one
-/// `thread-discipline` exemption (`xtask::THREAD_DISCIPLINE_EXEMPT_PATHS`)
-/// covers every serving-layer spawn site: accept/handler/batch-lane
-/// threads are long-lived I/O loops, and scans still run on the shared
-/// `ScanExecutor`.
+/// Spawns a named service thread. Centralised here so this file's one
+/// `disallowed-methods` allowance covers every serving-layer spawn
+/// site: accept/handler/batch-lane threads are long-lived I/O loops,
+/// and scans still run on the shared `ScanExecutor`.
 ///
 /// # Errors
 ///

@@ -34,7 +34,7 @@ use blot_codec::{Compression, EncodingScheme, Layout};
 use blot_core::obs::DriftBand;
 use blot_core::CoreError;
 use blot_geo::{Cuboid, Point};
-use blot_model::RecordBatch;
+use blot_model::{Record, RecordBatch};
 use blot_obs::{SpanContext, SpanId, TraceId};
 
 /// Frame magic: every frame starts with these four bytes.
@@ -181,6 +181,22 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in wire order. [`Self::from_u16`] decodes by looking
+    /// codes up here; a unit test pins that the list names every variant.
+    pub const ALL: [Self; 11] = [
+        Self::Malformed,
+        Self::BadVersion,
+        Self::Overloaded,
+        Self::ShuttingDown,
+        Self::Storage,
+        Self::NoReplicas,
+        Self::NoSuchReplica,
+        Self::Internal,
+        Self::IdleTimeout,
+        Self::ShardUnavailable,
+        Self::ReplyTooLarge,
+    ];
+
     /// The wire representation.
     #[must_use]
     pub fn as_u16(self) -> u16 {
@@ -191,19 +207,10 @@ impl ErrorCode {
     /// so old clients survive new servers.
     #[must_use]
     pub fn from_u16(raw: u16) -> Self {
-        match raw {
-            1 => Self::Malformed,
-            2 => Self::BadVersion,
-            3 => Self::Overloaded,
-            4 => Self::ShuttingDown,
-            5 => Self::Storage,
-            6 => Self::NoReplicas,
-            7 => Self::NoSuchReplica,
-            9 => Self::IdleTimeout,
-            10 => Self::ShardUnavailable,
-            11 => Self::ReplyTooLarge,
-            _ => Self::Internal,
-        }
+        Self::ALL
+            .into_iter()
+            .find(|code| code.as_u16() == raw)
+            .unwrap_or(Self::Internal)
     }
 
     /// Maps a store error onto the wire.
@@ -783,6 +790,79 @@ impl Response {
     }
 }
 
+/// Samples of every [`Request`] and [`Response`] variant: each optional
+/// payload part present and absent, every field set to a non-default
+/// value, plus the all-zero trace filter the decoder must accept.
+/// Payload structs are written out in full, so a new field must be named
+/// here, and the wire unit tests pin that every sample survives
+/// `decode(encode(x)) == x` and that the list holds every variant. The
+/// fuzzer's `server_frame` seeds are these frames.
+#[must_use]
+pub fn samples() -> (Vec<Request>, Vec<Response>) {
+    let range = Cuboid::new(Point::new(120.0, 30.0, 0.0), Point::new(122.0, 32.0, 1.0e8));
+    let requests = vec![
+        Request::Ping,
+        Request::RangeQuery(WireQuery { range, ctx: None }),
+        Request::RangeQuery(WireQuery {
+            range,
+            ctx: Some(SpanContext {
+                trace: TraceId(0x5EED_0000_0000_0000_0000_0000_0000_0001),
+                span: SpanId(0x5EED_0002),
+            }),
+        }),
+        Request::Stats(None),
+        Request::Stats(Some(DriftBand {
+            lo: 0.25,
+            hi: 4.0,
+            min_samples: 3,
+        })),
+        Request::Trace(TraceFilter {
+            slow_ms: 2.5,
+            last: 4,
+        }),
+        Request::Trace(TraceFilter {
+            slow_ms: 0.0,
+            last: 0,
+        }),
+    ];
+    let records = (0..8_u32)
+        .map(|i| Record {
+            oid: i,
+            time: 1_300_000_000 + i64::from(i) * 15,
+            x: 121.0 + f64::from(i) * 1e-4,
+            y: 31.0 + f64::from(i) * 1e-5,
+            speed: 13.5,
+            heading: 270.0,
+            occupied: i % 2 == 0,
+            passengers: 2,
+        })
+        .collect();
+    let responses = vec![
+        Response::Pong,
+        Response::QueryOk(Box::new(RemoteQueryResult {
+            records,
+            replica: 1,
+            sim_ms: 3.5,
+            makespan_ms: 1.25,
+            partitions_scanned: 6,
+            units_skipped: 2,
+            bytes_skipped: 4096,
+            admission_ms: 0.5,
+            batch_ms: 0.75,
+            store_ms: 2.0,
+            failed_over: vec![0, 2],
+        })),
+        Response::StatsOk("{\"enabled\":true}".to_owned()),
+        Response::TraceOk("[{\"name\":\"store.query\"}]".to_owned()),
+        Response::Error(WireError {
+            code: ErrorCode::Overloaded,
+            retry_after_ms: 40,
+            message: "queue full".to_owned(),
+        }),
+    ];
+    (requests, responses)
+}
+
 /// Fuzz entry point: decoding arbitrary bytes must never panic,
 /// whatever corner of the grammar they land in. Wired into
 /// `cargo xtask fuzz` as the `server_frame` target.
@@ -821,24 +901,6 @@ mod tests {
     )]
 
     use super::*;
-    use blot_model::Record;
-
-    fn sample_batch() -> RecordBatch {
-        let mut b = RecordBatch::new();
-        for i in 0..20_u32 {
-            b.push(Record {
-                oid: i,
-                time: 1_300_000_000 + i64::from(i) * 7,
-                x: f64::from(i) * 0.25,
-                y: 40.0 - f64::from(i) * 0.125,
-                speed: 13.5,
-                heading: 270.0,
-                occupied: i % 2 == 0,
-                passengers: (i % 4) as u8,
-            });
-        }
-        b
-    }
 
     fn roundtrip_request(req: &Request) -> Request {
         let (kind, payload) = req.encode();
@@ -854,33 +916,62 @@ mod tests {
         Response::decode(&frame).unwrap()
     }
 
+    /// Asserts that the frame kinds of `encoded` are exactly the kinds
+    /// `decode` does not reject as unknown: a variant `decode` accepts
+    /// cannot be missing from [`samples`] even if its slot was.
+    fn assert_kinds_cover_decode<T>(
+        encoded: impl Iterator<Item = u8>,
+        decode: impl Fn(&Frame) -> Result<T, FrameError>,
+    ) {
+        let mut sampled: Vec<u8> = encoded.collect();
+        sampled.sort_unstable();
+        sampled.dedup();
+        let decodable: Vec<u8> = (0..=u8::MAX)
+            .filter(|&kind| {
+                let frame = Frame {
+                    kind,
+                    payload: Vec::new(),
+                };
+                !matches!(decode(&frame), Err(FrameError::UnknownKind { .. }))
+            })
+            .collect();
+        assert_eq!(sampled, decodable, "`samples` misses a decodable kind");
+    }
+
+    /// Each request variant's slot in the sample-list pin. Exhaustive:
+    /// a new variant does not compile until it takes the next slot here
+    /// — then raise the slot count in `requests_roundtrip` and add a
+    /// sample to [`samples`].
+    fn request_slot(req: &Request) -> usize {
+        match req {
+            Request::Ping => 0,
+            Request::RangeQuery(_) => 1,
+            Request::Stats(_) => 2,
+            Request::Trace(_) => 3,
+        }
+    }
+
+    /// As [`request_slot`], for replies.
+    fn response_slot(resp: &Response) -> usize {
+        match resp {
+            Response::Pong => 0,
+            Response::QueryOk(_) => 1,
+            Response::StatsOk(_) => 2,
+            Response::TraceOk(_) => 3,
+            Response::Error(_) => 4,
+        }
+    }
+
     #[test]
     fn requests_roundtrip() {
-        let q = Cuboid::new(Point::new(-1.0, 2.0, 0.0), Point::new(3.5, 4.0, 600.0));
-        for req in [
-            Request::Ping,
-            Request::RangeQuery(WireQuery::new(q)),
-            Request::RangeQuery(WireQuery {
-                range: q,
-                ctx: Some(SpanContext::fresh()),
-            }),
-            Request::Stats(None),
-            Request::Stats(Some(DriftBand {
-                lo: 0.25,
-                hi: 4.0,
-                min_samples: 3,
-            })),
-            Request::Trace(TraceFilter {
-                slow_ms: 5.0,
-                last: 3,
-            }),
-            Request::Trace(TraceFilter {
-                slow_ms: 0.0,
-                last: 0,
-            }),
-        ] {
-            assert_eq!(roundtrip_request(&req), req);
+        let requests = samples().0;
+        let mut hit = [false; 4];
+        for req in &requests {
+            assert_eq!(&roundtrip_request(req), req);
+            hit[request_slot(req)] = true;
         }
+        assert_eq!(hit, [true; 4], "`samples` misses a request variant");
+        assert_kinds_cover_decode(requests.iter().map(|r| r.encode().0), Request::decode);
     }
 
     #[test]
@@ -919,38 +1010,14 @@ mod tests {
 
     #[test]
     fn responses_roundtrip_bit_identically() {
-        let result = RemoteQueryResult {
-            records: sample_batch(),
-            replica: 2,
-            sim_ms: 123.5,
-            makespan_ms: 60.25,
-            partitions_scanned: 7,
-            units_skipped: 11,
-            bytes_skipped: 4096,
-            admission_ms: 0.75,
-            batch_ms: 1.5,
-            store_ms: 42.125,
-            failed_over: vec![0, 1],
-        };
-        let resp = Response::QueryOk(Box::new(result.clone()));
-        match roundtrip_response(&resp) {
-            Response::QueryOk(got) => {
-                assert_eq!(got.records, result.records);
-                assert_eq!(*got, result);
-            }
-            other => panic!("wrong reply: {other:?}"),
+        let responses = samples().1;
+        let mut hit = [false; 5];
+        for resp in &responses {
+            assert_eq!(&roundtrip_response(resp), resp);
+            hit[response_slot(resp)] = true;
         }
-        let err = Response::Error(WireError {
-            code: ErrorCode::Overloaded,
-            retry_after_ms: 40,
-            message: "queue full".to_owned(),
-        });
-        assert_eq!(roundtrip_response(&err), err);
-        let stats = Response::StatsOk("{\"enabled\":true}".to_owned());
-        assert_eq!(roundtrip_response(&stats), stats);
-        let trace = Response::TraceOk("[{\"name\":\"query\"}]".to_owned());
-        assert_eq!(roundtrip_response(&trace), trace);
-        assert_eq!(roundtrip_response(&Response::Pong), Response::Pong);
+        assert_eq!(hit, [true; 5], "`samples` misses a reply variant");
+        assert_kinds_cover_decode(responses.iter().map(|r| r.encode().0), Response::decode);
     }
 
     #[test]
@@ -1015,23 +1082,34 @@ mod tests {
         ));
     }
 
+    /// Each code's slot in the [`ErrorCode::ALL`] pin; exhaustive, like
+    /// [`request_slot`].
+    fn error_code_slot(code: ErrorCode) -> usize {
+        match code {
+            ErrorCode::Malformed => 0,
+            ErrorCode::BadVersion => 1,
+            ErrorCode::Overloaded => 2,
+            ErrorCode::ShuttingDown => 3,
+            ErrorCode::Storage => 4,
+            ErrorCode::NoReplicas => 5,
+            ErrorCode::NoSuchReplica => 6,
+            ErrorCode::Internal => 7,
+            ErrorCode::IdleTimeout => 8,
+            ErrorCode::ShardUnavailable => 9,
+            ErrorCode::ReplyTooLarge => 10,
+        }
+    }
+
     #[test]
     fn every_error_code_roundtrips_u16() {
-        for code in [
-            ErrorCode::Malformed,
-            ErrorCode::BadVersion,
-            ErrorCode::Overloaded,
-            ErrorCode::ShuttingDown,
-            ErrorCode::Storage,
-            ErrorCode::NoReplicas,
-            ErrorCode::NoSuchReplica,
-            ErrorCode::Internal,
-            ErrorCode::IdleTimeout,
-            ErrorCode::ShardUnavailable,
-            ErrorCode::ReplyTooLarge,
-        ] {
+        let mut hit = [false; 11];
+        for code in ErrorCode::ALL {
             assert_eq!(ErrorCode::from_u16(code.as_u16()), code);
+            hit[error_code_slot(code)] = true;
         }
+        assert_eq!(hit, [true; 11], "`ErrorCode::ALL` misses a code");
+        assert_eq!(ErrorCode::from_u16(0), ErrorCode::Internal);
+        assert_eq!(ErrorCode::from_u16(u16::MAX), ErrorCode::Internal);
     }
 
     #[test]

@@ -11,6 +11,7 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
+    clippy::disallowed_methods,
     clippy::indexing_slicing,
     clippy::cast_precision_loss
 )]

@@ -35,6 +35,7 @@
 //!   [`execute_all`](ScanExecutor::execute_all) calls issued from
 //!   inside a task — so the pool cannot deadlock on nesting.
 
+#![allow(clippy::disallowed_methods)]
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -9,6 +9,7 @@
 //! backend I/O or a pool submission, or locks taken out of order — is
 //! `cargo xtask lint`'s `lock-discipline` rule.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// An [`std::sync::RwLock`] whose accessors recover from poisoning

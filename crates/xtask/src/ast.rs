@@ -1,12 +1,10 @@
 //! A lightweight parse layer over the [`crate::lexer`] token stream.
 //!
-//! The semantic rules (lock discipline, registry completeness) need
-//! more structure than the flat token scans of
-//! [`crate::rules`]: function bodies with brace nesting, per-crate item
-//! tables (enums with their variants, impl blocks with their methods)
-//! and call sites with receiver paths. This module recovers exactly
-//! that much structure — it is not a Rust grammar, and it does not need
-//! to be: it only has to be right on the workspace's own style, and the
+//! Rule `lock-discipline` needs more structure than the flat token
+//! scans of [`crate::rules`]: function bodies with brace nesting and
+//! call sites with receiver paths. This module recovers exactly that
+//! much structure — it is not a Rust grammar, and it does not need to
+//! be: it only has to be right on the workspace's own style, and the
 //! fixture tests pin the cases it must handle.
 //!
 //! Everything works in *significant-token space*: the parser receives
@@ -74,46 +72,9 @@ impl<'a> View<'a> {
 pub struct FnDecl {
     /// Function name.
     pub name: String,
-    /// Enclosing impl's type name, when the fn is a method.
-    pub owner: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Body range `[start, end)` in significant-token space, exclusive
     /// of the braces; `None` for bodiless trait declarations.
     pub body: Option<(usize, usize)>,
-}
-
-/// One parsed enum with its variant names.
-#[derive(Debug, Clone)]
-pub struct EnumDecl {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-}
-
-/// Item table of one file.
-#[derive(Debug, Default)]
-pub struct Ast {
-    /// All functions, methods included (flat, with [`FnDecl::owner`]).
-    pub fns: Vec<FnDecl>,
-    /// All enums with their variants.
-    pub enums: Vec<EnumDecl>,
-}
-
-impl Ast {
-    /// The first enum named `name`, if any.
-    #[must_use]
-    pub fn enum_named(&self, name: &str) -> Option<&EnumDecl> {
-        self.enums.iter().find(|e| e.name == name)
-    }
-
-    /// All functions named `name` (any owner).
-    pub fn fns_named<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s FnDecl> {
-        self.fns.iter().filter(move |f| f.name == name)
-    }
 }
 
 /// One extracted call site.
@@ -134,36 +95,26 @@ const CALL_KEYWORDS: &[&str] = &[
     "if", "while", "match", "for", "return", "loop", "in", "as", "fn", "move", "box",
 ];
 
-/// Parses the item table of a file.
+/// Parses every function of a file, methods included (flat).
 #[must_use]
-pub fn parse(view: View<'_>) -> Ast {
-    let mut ast = Ast::default();
-    parse_items(view, 0, view.len(), None, &mut ast);
-    ast
-}
-
-/// Parses items in `[start, end)`; `owner` names the enclosing impl's
-/// type for methods.
-fn parse_items(view: View<'_>, start: usize, end: usize, owner: Option<&str>, ast: &mut Ast) {
-    let mut j = start;
+pub fn parse(view: View<'_>) -> Vec<FnDecl> {
+    let mut fns = Vec::new();
+    let end = view.len();
+    let mut j = 0;
     while j < end {
         match view.text(j) {
             Some("fn") if view.kind(j + 1) == Some(Kind::Ident) => {
-                j = parse_fn(view, j, end, owner, ast);
+                j = parse_fn(view, j, end, &mut fns);
             }
-            Some("enum") if view.kind(j + 1) == Some(Kind::Ident) => {
-                j = parse_enum(view, j, end, ast);
-            }
-            Some("impl") => {
-                j = parse_impl(view, j, end, ast);
-            }
-            // Other braces (const blocks, macro bodies like `proptest!`,
-            // module bodies) are entered transparently: items inside
-            // them — `#[test] fn`s in a proptest! block, the
-            // `require_error_traits` const fn — are real items.
+            // Other braces (impl and module bodies, const blocks, macro
+            // bodies like `proptest!`) are entered transparently: items
+            // inside them — methods, `#[test] fn`s in a proptest!
+            // block, the `require_error_traits` const fn — are real
+            // items.
             _ => j += 1,
         }
     }
+    fns
 }
 
 /// Index just past the group opened at `open` (which must hold `open_t`);
@@ -187,9 +138,8 @@ fn matching_close(view: View<'_>, open: usize, end: usize, open_t: &str, close_t
     end
 }
 
-fn parse_fn(view: View<'_>, j: usize, end: usize, owner: Option<&str>, ast: &mut Ast) -> usize {
+fn parse_fn(view: View<'_>, j: usize, end: usize, fns: &mut Vec<FnDecl>) -> usize {
     let name = view.text(j + 1).unwrap_or_default().to_string();
-    let line = view.line(j);
     // The signature runs to the body `{` or a trait-decl `;` at zero
     // paren/bracket depth.
     let mut paren = 0i32;
@@ -203,21 +153,14 @@ fn parse_fn(view: View<'_>, j: usize, end: usize, owner: Option<&str>, ast: &mut
             Some("]") => bracket -= 1,
             Some("{") if paren == 0 && bracket == 0 => {
                 let close = matching_close(view, k, end, "{", "}");
-                ast.fns.push(FnDecl {
+                fns.push(FnDecl {
                     name,
-                    owner: owner.map(str::to_string),
-                    line,
                     body: Some((k + 1, close.saturating_sub(1))),
                 });
                 return close;
             }
             Some(";") if paren == 0 && bracket == 0 => {
-                ast.fns.push(FnDecl {
-                    name,
-                    owner: owner.map(str::to_string),
-                    line,
-                    body: None,
-                });
+                fns.push(FnDecl { name, body: None });
                 return k + 1;
             }
             _ => {}
@@ -225,111 +168,6 @@ fn parse_fn(view: View<'_>, j: usize, end: usize, owner: Option<&str>, ast: &mut
         k += 1;
     }
     end
-}
-
-fn parse_enum(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
-    let name = view.text(j + 1).unwrap_or_default().to_string();
-    let line = view.line(j);
-    let mut open = j + 2;
-    while open < end && view.text(open) != Some("{") {
-        if view.text(open) == Some(";") {
-            // `enum Foo;` never parses in Rust, but stay robust.
-            return open + 1;
-        }
-        open += 1;
-    }
-    let close = matching_close(view, open, end, "{", "}");
-    let mut variants = Vec::new();
-    let mut expect_variant = true;
-    let mut k = open + 1;
-    while k + 1 < close {
-        match view.text(k) {
-            // Skip a variant attribute `#[…]`.
-            Some("#") if view.text(k + 1) == Some("[") => {
-                k = matching_close(view, k + 1, close, "[", "]");
-                continue;
-            }
-            Some(",") => expect_variant = true,
-            Some("(") => {
-                k = matching_close(view, k, close, "(", ")");
-                continue;
-            }
-            Some("{") => {
-                k = matching_close(view, k, close, "{", "}");
-                continue;
-            }
-            Some(_) if expect_variant && view.kind(k) == Some(Kind::Ident) => {
-                variants.push(view.text(k).unwrap_or_default().to_string());
-                expect_variant = false;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    ast.enums.push(EnumDecl {
-        name,
-        line,
-        variants,
-    });
-    close
-}
-
-fn parse_impl(view: View<'_>, j: usize, end: usize, ast: &mut Ast) -> usize {
-    // Header: up to the body `{`; generics may not contain braces.
-    let mut open = j + 1;
-    while open < end && view.text(open) != Some("{") {
-        open += 1;
-    }
-    // `impl … for Type` → the ident after `for`; otherwise the first
-    // ident after the (optional) generic parameter list.
-    let mut type_name = String::new();
-    let mut for_at = None;
-    for k in j + 1..open {
-        if view.is_ident(k, "for") {
-            for_at = Some(k);
-            break;
-        }
-    }
-    if let Some(f) = for_at {
-        if view.kind(f + 1) == Some(Kind::Ident) {
-            type_name = view.text(f + 1).unwrap_or_default().to_string();
-        }
-    } else {
-        let mut k = j + 1;
-        if view.text(k) == Some("<") {
-            let mut depth = 0i32;
-            while k < open {
-                match view.text(k) {
-                    Some("<") => depth += 1,
-                    Some(">") => {
-                        depth -= 1;
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        while k < open {
-            if view.kind(k) == Some(Kind::Ident) {
-                type_name = view.text(k).unwrap_or_default().to_string();
-                break;
-            }
-            k += 1;
-        }
-    }
-    let close = matching_close(view, open, end, "{", "}");
-    parse_items(
-        view,
-        open + 1,
-        close.saturating_sub(1),
-        Some(&type_name),
-        ast,
-    );
-    close
 }
 
 /// Extracts the call sites in `[start, end)`.
@@ -409,29 +247,27 @@ fn free_path(view: View<'_>, name_at: usize, floor: usize) -> String {
 mod tests {
     use super::*;
 
-    fn with_ast<R>(src: &str, f: impl FnOnce(View<'_>, &Ast) -> R) -> R {
-        let (tokens, sig) = crate::rules::lex_significant(src);
+    fn with_fns<R>(src: &str, f: impl FnOnce(View<'_>, &[FnDecl]) -> R) -> R {
+        let tokens = crate::lexer::lex(src);
+        let sig = crate::rules::significant_non_test(&tokens);
         let view = View::new(&tokens, &sig);
-        let ast = parse(view);
-        f(view, &ast)
+        f(view, &parse(view))
     }
 
     #[test]
-    fn fns_and_methods_get_owners_and_bodies() {
-        with_ast(
+    fn fns_and_methods_get_bodies() {
+        with_fns(
             "fn free() { let x = 1; }\n\
              struct S;\n\
              impl S { fn method(&self) -> u32 { 2 } fn decl(&self); }\n\
              impl Clone for S { fn clone(&self) -> S { S } }\n",
-            |view, ast| {
-                assert_eq!(ast.fns.len(), 4);
-                assert_eq!(ast.fns[0].name, "free");
-                assert_eq!(ast.fns[0].owner, None);
-                assert_eq!(ast.fns[1].name, "method");
-                assert_eq!(ast.fns[1].owner.as_deref(), Some("S"));
-                assert!(ast.fns[2].body.is_none());
-                assert_eq!(ast.fns[3].owner.as_deref(), Some("S"));
-                let (b0, b1) = ast.fns[0].body.unwrap();
+            |view, fns| {
+                assert_eq!(fns.len(), 4);
+                assert_eq!(fns[0].name, "free");
+                assert_eq!(fns[1].name, "method");
+                assert!(fns[2].body.is_none());
+                assert_eq!(fns[3].name, "clone");
+                let (b0, b1) = fns[0].body.unwrap();
                 let body: Vec<&str> = (b0..b1).map(|j| view.text(j).unwrap()).collect();
                 assert_eq!(body, vec!["let", "x", "=", "1", ";"]);
             },
@@ -439,34 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_skip_fields_and_attributes() {
-        with_ast(
-            "pub enum E {\n  #[default]\n  A,\n  B(u32, Vec<u8>),\n  C { x: f64 },\n  D = 4,\n}\n",
-            |_, ast| {
-                let e = ast.enum_named("E").unwrap();
-                assert_eq!(e.variants, vec!["A", "B", "C", "D"]);
-            },
-        );
-    }
-
-    #[test]
-    fn generic_impl_heads_name_the_owner() {
-        with_ast(
-            "impl<B: Backend> Backend for FailingBackend<B> { fn get(&self) {} }\n\
-             impl<T> SchemeTable<T> { fn len(&self) {} }\n",
-            |_, ast| {
-                assert_eq!(ast.fns[0].owner.as_deref(), Some("FailingBackend"));
-                assert_eq!(ast.fns[1].owner.as_deref(), Some("SchemeTable"));
-            },
-        );
-    }
-
-    #[test]
     fn calls_recover_receiver_and_free_paths() {
-        with_ast(
+        with_fns(
             "fn f(&self) { self.inner.get(key); std::fs::read(p); run_scan(x); if (a) { } }\n",
-            |view, ast| {
-                let (b0, b1) = ast.fns[0].body.unwrap();
+            |view, fns| {
+                let (b0, b1) = fns[0].body.unwrap();
                 let calls = calls_in(view, b0, b1);
                 let names: Vec<&str> = calls.iter().map(|c| c.callee.as_str()).collect();
                 assert_eq!(names, vec!["get", "std::fs::read", "run_scan"]);

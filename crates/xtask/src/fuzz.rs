@@ -15,152 +15,153 @@
 //! (each drives both `EncodingScheme::decode` and the query path's
 //! `decode_filter_batched`, which must agree), the zone-map footer parser
 //! (`zonemap_footer`), and the `blot-server` wire-frame decoder
-//! (`server_frame`). The `registry` lint cross-checks the codec part of
-//! this list against the parsed `Compression`/`Layout` variants, so
-//! adding a variant without its fuzz target fails `cargo xtask lint`.
+//! (`server_frame`). The codec targets are generated from
+//! [`EncodingScheme::grid`], and [`codec`] is an exhaustive match, so a
+//! new `Layout` or `Compression` variant gets its targets the commit it
+//! compiles.
 
 use blot_codec::{
     deflate_compress, deflate_decompress, lzf_compress, lzf_decompress, lzr_compress,
-    lzr_decompress, Compression, DecodeScratch, EncodingScheme, Layout, ZoneMap,
+    lzr_decompress, CodecError, Compression, DecodeScratch, EncodingScheme, ZoneMap,
 };
 use blot_geo::{Cuboid, Point};
 use blot_model::{Record, RecordBatch};
-use blot_obs::{SpanContext, SpanId, TraceId};
-use blot_server::wire::{
-    encode_frame, RemoteQueryResult, Request, Response, TraceFilter, WireQuery,
-};
+use blot_server::wire::{encode_frame, Request, Response};
 use std::time::{Duration, Instant};
 
 /// One fuzz target: a named decoder entry point that must never panic.
 #[derive(Debug)]
 pub struct FuzzTarget {
     /// Registry name (`lzf`, `decode_row_deflate`, …).
-    pub name: &'static str,
-    run: fn(&[u8]),
+    pub name: String,
+    decoder: Decoder,
 }
 
-fn t_lzf(d: &[u8]) {
-    let _ = lzf_decompress(d);
+/// What a target feeds its input to.
+#[derive(Debug, Clone, Copy)]
+enum Decoder {
+    /// A stand-alone decompressor.
+    Decompress(fn(&[u8]) -> Result<Vec<u8>, CodecError>),
+    /// `EncodingScheme::decode_auto`, which reads the scheme from the tag.
+    Auto,
+    /// One scheme's `decode` and `decode_filter_batched`.
+    Scheme(EncodingScheme),
+    /// The zone-map footer parser.
+    Footer,
+    /// The `blot-server` wire-frame decoder.
+    Frame,
 }
-fn t_deflate(d: &[u8]) {
-    let _ = deflate_decompress(d);
-}
-fn t_lzr(d: &[u8]) {
-    let _ = lzr_decompress(d);
-}
-fn t_decode_auto(d: &[u8]) {
-    let _ = EncodingScheme::decode_auto(d);
-}
-fn t_server_frame(d: &[u8]) {
-    blot_server::wire::fuzz_decode(d);
-}
-fn t_zonemap_footer(d: &[u8]) {
-    // Parsing must never panic, and any footer that survives the
-    // checksum must support a prune decision without arithmetic traps.
-    if let Ok((_, Some(zm))) = ZoneMap::split_footer(d) {
-        let probe = Cuboid::new(Point::new(120.0, 30.0, 0.0), Point::new(122.0, 32.0, 1.0e8));
-        let _ = zm.overlaps(&probe);
+
+impl Decoder {
+    fn run(self, d: &[u8]) {
+        match self {
+            Self::Decompress(decompress) => {
+                let _ = decompress(d);
+            }
+            Self::Auto => {
+                let _ = EncodingScheme::decode_auto(d);
+            }
+            Self::Scheme(scheme) => {
+                let full = scheme.decode(d);
+                // Queries decode untrusted unit bytes through the batched
+                // filter, not `decode`. A range that holds every finite
+                // point makes it materialise all columns, and whenever both
+                // accept the input they must have seen the same unit.
+                let everywhere = Cuboid::new(
+                    Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
+                    Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
+                );
+                let filtered =
+                    scheme.decode_filter_batched(d, &everywhere, &mut DecodeScratch::new());
+                if let (Ok(full), Ok(filtered)) = (full, filtered) {
+                    assert_eq!(
+                        filtered.scanned,
+                        full.len(),
+                        "decode_filter_batched and decode disagree on the record count"
+                    );
+                }
+            }
+            Self::Footer => {
+                // Parsing must never panic, and any footer that survives
+                // the checksum must support a prune decision without
+                // arithmetic traps.
+                if let Ok((_, Some(zm))) = ZoneMap::split_footer(d) {
+                    let probe =
+                        Cuboid::new(Point::new(120.0, 30.0, 0.0), Point::new(122.0, 32.0, 1.0e8));
+                    let _ = zm.overlaps(&probe);
+                }
+            }
+            Self::Frame => blot_server::wire::fuzz_decode(d),
+        }
     }
 }
 
-macro_rules! scheme_target {
-    ($fn_name:ident, $layout:ident, $comp:ident) => {
-        fn $fn_name(d: &[u8]) {
-            let scheme = EncodingScheme::new(Layout::$layout, Compression::$comp);
-            let full = scheme.decode(d);
-            // Queries decode untrusted unit bytes through the batched
-            // filter, not `decode`. A range that holds every finite
-            // point makes it materialise all columns, and whenever both
-            // accept the input they must have seen the same unit.
-            let everywhere = Cuboid::new(
-                Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
-                Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
-            );
-            let filtered = scheme.decode_filter_batched(d, &everywhere, &mut DecodeScratch::new());
-            if let (Ok(full), Ok(filtered)) = (full, filtered) {
-                assert_eq!(
-                    filtered.scanned,
-                    full.len(),
-                    "decode_filter_batched and decode disagree on the record count"
-                );
-            }
-        }
-    };
+/// A stand-alone compressor and its inverse.
+type Codec = (
+    fn(&[u8]) -> Vec<u8>,
+    fn(&[u8]) -> Result<Vec<u8>, CodecError>,
+);
+
+/// The codec behind `c`; `None` for `Plain`. Exhaustive, so a new
+/// `Compression` variant does not compile until it is listed here.
+fn codec(c: Compression) -> Option<Codec> {
+    match c {
+        Compression::Plain => None,
+        Compression::Lzf => Some((lzf_compress, lzf_decompress)),
+        Compression::Deflate => Some((deflate_compress, deflate_decompress)),
+        Compression::Lzr => Some((lzr_compress, lzr_decompress)),
+    }
 }
 
-scheme_target!(t_row_plain, Row, Plain);
-scheme_target!(t_row_lzf, Row, Lzf);
-scheme_target!(t_row_deflate, Row, Deflate);
-scheme_target!(t_row_lzr, Row, Lzr);
-scheme_target!(t_column_plain, Column, Plain);
-scheme_target!(t_column_lzf, Column, Lzf);
-scheme_target!(t_column_deflate, Column, Deflate);
-scheme_target!(t_column_lzr, Column, Lzr);
+/// The distinct stand-alone codecs of [`EncodingScheme::grid`], each
+/// with its target name (`lzf`, …).
+fn codecs() -> Vec<(String, Codec)> {
+    let mut out: Vec<(String, Codec)> = Vec::new();
+    for c in EncodingScheme::grid().map(|s| s.compression) {
+        let name = lower(c);
+        if out.iter().any(|(n, _)| *n == name) {
+            continue;
+        }
+        if let Some(codec) = codec(c) {
+            out.push((name, codec));
+        }
+    }
+    out
+}
 
-/// The fourteen decoder targets.
-pub const TARGETS: &[FuzzTarget] = &[
-    FuzzTarget {
-        name: "lzf",
-        run: t_lzf,
-    },
-    FuzzTarget {
-        name: "deflate",
-        run: t_deflate,
-    },
-    FuzzTarget {
-        name: "lzr",
-        run: t_lzr,
-    },
-    FuzzTarget {
-        name: "decode_auto",
-        run: t_decode_auto,
-    },
-    FuzzTarget {
-        name: "decode_row_plain",
-        run: t_row_plain,
-    },
-    FuzzTarget {
-        name: "decode_row_lzf",
-        run: t_row_lzf,
-    },
-    FuzzTarget {
-        name: "decode_row_deflate",
-        run: t_row_deflate,
-    },
-    FuzzTarget {
-        name: "decode_row_lzr",
-        run: t_row_lzr,
-    },
-    FuzzTarget {
-        name: "decode_column_plain",
-        run: t_column_plain,
-    },
-    FuzzTarget {
-        name: "decode_column_lzf",
-        run: t_column_lzf,
-    },
-    FuzzTarget {
-        name: "decode_column_deflate",
-        run: t_column_deflate,
-    },
-    FuzzTarget {
-        name: "decode_column_lzr",
-        run: t_column_lzr,
-    },
-    FuzzTarget {
-        name: "zonemap_footer",
-        run: t_zonemap_footer,
-    },
-    FuzzTarget {
-        name: "server_frame",
-        run: t_server_frame,
-    },
-];
+/// A variant's name in lower case (`Lzr` → `lzr`).
+fn lower(variant: impl std::fmt::Debug) -> String {
+    format!("{variant:?}").to_lowercase()
+}
 
-/// The registered target names (for the `registry` lint and `--help`).
+/// The fourteen decoder targets: one per stand-alone codec and one per
+/// scheme of [`EncodingScheme::grid`], plus `decode_auto`, the footer
+/// and the wire frame.
 #[must_use]
-pub fn target_names() -> Vec<&'static str> {
-    TARGETS.iter().map(|t| t.name).collect()
+pub fn targets() -> Vec<FuzzTarget> {
+    let target = |name: String, decoder| FuzzTarget { name, decoder };
+    let mut targets: Vec<FuzzTarget> = codecs()
+        .into_iter()
+        .map(|(name, (_, decompress))| target(name, Decoder::Decompress(decompress)))
+        .collect();
+    targets.push(target("decode_auto".into(), Decoder::Auto));
+    for scheme in EncodingScheme::grid() {
+        let name = format!(
+            "decode_{}_{}",
+            lower(scheme.layout),
+            lower(scheme.compression)
+        );
+        targets.push(target(name, Decoder::Scheme(scheme)));
+    }
+    targets.push(target("zonemap_footer".into(), Decoder::Footer));
+    targets.push(target("server_frame".into(), Decoder::Frame));
+    targets
+}
+
+/// The registered target names (for `--target` and its error message).
+#[must_use]
+pub fn target_names() -> Vec<String> {
+    targets().into_iter().map(|t| t.name).collect()
 }
 
 /// A panic caught in one decoder.
@@ -176,7 +177,7 @@ pub struct Failure {
 #[derive(Debug)]
 pub struct TargetSummary {
     /// Target name.
-    pub name: &'static str,
+    pub name: String,
     /// Inputs executed.
     pub execs: u64,
     /// Panics caught (fuzzing a target stops after the first few).
@@ -256,52 +257,23 @@ fn build_seeds() -> Vec<Vec<u8>> {
         seeds.push(scheme.encode(&batch));
     }
     let pattern: Vec<u8> = (0u8..200).map(|i| i % 17).collect();
-    seeds.push(lzf_compress(&pattern));
-    seeds.push(deflate_compress(&pattern));
-    seeds.push(lzr_compress(&pattern));
+    for (_, (compress, _)) in codecs() {
+        seeds.push(compress(&pattern));
+    }
     // A bare zone-map footer, so mutations explore the checksum and
     // version checks without having to reconstruct the 73-byte tail.
     let mut footer = Vec::new();
     ZoneMap::from_batch(&batch).append_to(&mut footer);
     seeds.push(footer);
-    // Valid wire frames for the `server_frame` target, covering the
-    // trace-context grammar: a query carrying the optional 24-byte
-    // trace tail, a trace-export request, the extended `QueryOk` with
-    // its per-stage breakdown, and a `TraceOk` JSON reply. Mutations
-    // from these explore the context/no-context payload split and the
-    // zero-trace-id rejection.
-    let range = Cuboid::new(Point::new(120.0, 30.0, 0.0), Point::new(122.0, 32.0, 1.0e8));
-    let ctx = SpanContext {
-        trace: TraceId(0x5EED_0000_0000_0000_0000_0000_0000_0001),
-        span: SpanId(0x5EED_0002),
-    };
-    let frames = [
-        Request::RangeQuery(WireQuery {
-            range,
-            ctx: Some(ctx),
-        })
-        .encode(),
-        Request::Trace(TraceFilter {
-            slow_ms: 2.5,
-            last: 4,
-        })
-        .encode(),
-        Response::QueryOk(Box::new(RemoteQueryResult {
-            records: seed_batch(8),
-            replica: 1,
-            sim_ms: 3.5,
-            makespan_ms: 1.25,
-            partitions_scanned: 6,
-            units_skipped: 2,
-            bytes_skipped: 4096,
-            admission_ms: 0.5,
-            batch_ms: 0.75,
-            store_ms: 2.0,
-            failed_over: vec![0],
-        }))
-        .encode(),
-        Response::TraceOk("[{\"name\":\"store.query\"}]".to_string()).encode(),
-    ];
+    // Valid wire frames for the `server_frame` target: one of every
+    // request and reply variant, from the corpus the wire tests pin.
+    // Mutations from these explore the context/no-context payload split
+    // and the zero-trace-id rejection.
+    let (requests, responses) = blot_server::wire::samples();
+    let frames = requests
+        .iter()
+        .map(Request::encode)
+        .chain(responses.iter().map(Response::encode));
     for (kind, payload) in frames {
         seeds.push(encode_frame(kind, &payload));
     }
@@ -396,8 +368,8 @@ fn hex(bytes: &[u8]) -> String {
 ///
 /// Returns a message when `filter` names no registered target.
 pub fn run(filter: Option<&str>, millis_per_target: u64) -> Result<Vec<TargetSummary>, String> {
-    let targets: Vec<&FuzzTarget> = TARGETS
-        .iter()
+    let targets: Vec<FuzzTarget> = targets()
+        .into_iter()
         .filter(|t| filter.is_none_or(|f| t.name == f))
         .collect();
     if targets.is_empty() {
@@ -413,7 +385,7 @@ pub fn run(filter: Option<&str>, millis_per_target: u64) -> Result<Vec<TargetSum
     std::panic::set_hook(Box::new(|_| {}));
     let mut summaries = Vec::with_capacity(targets.len());
     for target in targets {
-        let mut rng = Rng::new(fnv(target.name));
+        let mut rng = Rng::new(fnv(&target.name));
         let budget = Duration::from_millis(millis_per_target);
         let start = Instant::now();
         let mut summary = TargetSummary {
@@ -423,9 +395,9 @@ pub fn run(filter: Option<&str>, millis_per_target: u64) -> Result<Vec<TargetSum
         };
         while start.elapsed() < budget && summary.failures.len() < 4 {
             let input = mutate(&mut rng, &seeds);
-            let run = target.run;
+            let decoder = target.decoder;
             if let Err(payload) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&input)))
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decoder.run(&input)))
             {
                 let message = payload
                     .downcast_ref::<&str>()
@@ -449,26 +421,31 @@ pub fn run(filter: Option<&str>, millis_per_target: u64) -> Result<Vec<TargetSum
 mod tests {
     use super::*;
 
+    /// The names are an interface: CI runs `--target server_frame` and
+    /// the README `--target lzr`.
     #[test]
     fn fourteen_targets_cover_the_grid_the_footer_and_the_wire() {
-        assert_eq!(TARGETS.len(), 14);
-        let names = target_names();
-        assert!(names.contains(&"decode_auto"));
-        assert!(names.contains(&"server_frame"));
-        assert!(names.contains(&"zonemap_footer"));
-        for scheme in EncodingScheme::grid() {
-            let layout = match scheme.layout {
-                Layout::Row => "row",
-                Layout::Column => "column",
-            };
-            let comp = match scheme.compression {
-                Compression::Plain => "plain",
-                Compression::Lzf => "lzf",
-                Compression::Deflate => "deflate",
-                Compression::Lzr => "lzr",
-            };
-            assert!(names.contains(&format!("decode_{layout}_{comp}").as_str()));
-        }
+        let mut names = target_names();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "decode_auto",
+                "decode_column_deflate",
+                "decode_column_lzf",
+                "decode_column_lzr",
+                "decode_column_plain",
+                "decode_row_deflate",
+                "decode_row_lzf",
+                "decode_row_lzr",
+                "decode_row_plain",
+                "deflate",
+                "lzf",
+                "lzr",
+                "server_frame",
+                "zonemap_footer",
+            ]
+        );
     }
 
     #[test]

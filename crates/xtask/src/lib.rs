@@ -1,30 +1,27 @@
 //! blot-audit: the workspace's static-analysis gate.
 //!
 //! `cargo xtask lint` walks every workspace crate and enforces the
-//! invariants nothing else in the lint lane checks (panic-freedom,
-//! checked indexing and casts, `# Errors` docs, discarded `Result`s and
-//! unit mixing are rustc's, clippy's and `blot_core::units`' job — see
-//! DESIGN.md §6b for the invariant → gate table):
+//! invariants that neither rustc, clippy nor a test can see. The
+//! compiler and clippy own panic-freedom, checked indexing and casts,
+//! `# Errors` docs, discarded `Result`s, unit mixing, exhaustive codec
+//! and wire dispatch, and where OS threads may be created
+//! (`disallowed-methods` in `clippy.toml`); see DESIGN.md §6b for the
+//! invariant → gate table. What is left:
 //!
 //! * **error-traits** — every public error enum has an
 //!   `std::error::Error` impl and a `require_error_traits::<…>`
-//!   Send + Sync compile-time assertion;
+//!   Send + Sync compile-time assertion. The rule finds every
+//!   `pub enum *Error` by name, so an enum cannot skip the check by not
+//!   opting in;
 //! * **lock-discipline** — no `storage::sync` guard held across
 //!   backend I/O or an `execute_all` submission, and lock acquisitions
 //!   follow the declared order; see [`locks`];
-//! * **thread-discipline** — no ad-hoc OS threads outside the files
-//!   named in [`THREAD_DISCIPLINE_EXEMPT_PATHS`];
 //! * **metrics-discipline** — no ad-hoc `static` atomics in the
 //!   instrumented crates (`core`, `storage`): every global counter is
-//!   a registered `blot-obs` instrument;
-//! * **registry** / **wire-registry** — every `codec::scheme` variant
-//!   resolves to an encoder, a decoder, a round-trip proptest and a
-//!   fuzz target, and every `server::wire` variant to encode + decode
-//!   arms, client-side handling and a test mention; see [`registry`].
+//!   a registered `blot-obs` instrument.
 //!
 //! No rule can be switched off by a comment: the only exceptions are
-//! the constants below ([`THREAD_DISCIPLINE_EXEMPT_PATHS`] and the
-//! crate lists each rule covers).
+//! the crate lists below.
 
 // Token-index arithmetic throughout this crate works on indices the
 // scanners themselves produced; `.get()` chains would only obscure it.
@@ -36,7 +33,6 @@ pub mod fuzz;
 pub mod lexer;
 pub mod locks;
 pub mod overhead;
-pub mod registry;
 pub mod rules;
 
 use rules::{Rule, RuleSet, Violation};
@@ -46,20 +42,6 @@ use std::path::{Path, PathBuf};
 /// Crates whose code uses the `storage::sync` lock wrappers (rule
 /// `lock-discipline`).
 pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["storage", "core"];
-
-/// Crates that must run all parallel work on the shared scan-executor
-/// pool instead of spawning ad-hoc OS threads (rule `thread-discipline`).
-pub const THREAD_DISCIPLINE_CRATES: &[&str] = &["storage", "core", "server", "router"];
-
-/// Every file allowed to create OS threads, as workspace-relative
-/// paths: the scan-executor pool itself, `router`'s long-lived shard
-/// connection workers, and `server`'s single spawn site
-/// (`conn.rs::spawn_named`) for its accept/handler/batch-lane loops.
-pub const THREAD_DISCIPLINE_EXEMPT_PATHS: &[&str] = &[
-    "crates/storage/src/pool.rs",
-    "crates/router/src/pool.rs",
-    "crates/server/src/conn.rs",
-];
 
 /// Crates whose global counters must be `blot-obs` registry
 /// instruments rather than ad-hoc `static` atomics (rule
@@ -155,35 +137,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     }
     // The facade crate's own sources.
     lint_crate(root, root, "blot", &mut report)?;
-
-    // Registry completeness: the codec scheme enums against their
-    // encoder/decoder arms, property tests and fuzz targets.
-    let read = |rel: &Path| {
-        std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("cannot read {}: {e}", rel.display()))
-    };
-    let scheme_file = Path::new("crates/codec/src/scheme.rs");
-    let props_file = Path::new("crates/codec/tests/properties.rs");
-    report.violations.extend(registry::check_registry(
-        scheme_file,
-        &read(scheme_file)?,
-        props_file,
-        &read(props_file)?,
-        &fuzz::target_names(),
-    ));
-
-    // Wire-protocol registry: server request/response/error-code
-    // variants against their encode/decode arms, client handling, and
-    // test coverage.
-    let wire_file = Path::new("crates/server/src/wire.rs");
-    let client_file = Path::new("crates/server/src/client.rs");
-    report.violations.extend(registry::check_wire_registry(
-        wire_file,
-        &read(wire_file)?,
-        client_file,
-        &read(client_file)?,
-        &read(Path::new("crates/server/tests/e2e.rs"))?,
-    ));
     Ok(report)
 }
 
@@ -211,7 +164,6 @@ fn lint_crate(
         let rel = file.strip_prefix(root).unwrap_or(file);
         let rules = RuleSet {
             lock_discipline: LOCK_DISCIPLINE_CRATES.contains(&crate_name),
-            thread_discipline: thread_discipline_applies(crate_name, rel),
             metrics_discipline: METRICS_DISCIPLINE_CRATES.contains(&crate_name),
         };
         let fr = rules::audit_file(rel, &source, rules);
@@ -247,15 +199,6 @@ fn lint_crate(
     Ok(())
 }
 
-/// Whether rule `thread-discipline` covers the file at the
-/// workspace-relative path `rel` of crate `crate_name`.
-fn thread_discipline_applies(crate_name: &str, rel: &Path) -> bool {
-    THREAD_DISCIPLINE_CRATES.contains(&crate_name)
-        && !THREAD_DISCIPLINE_EXEMPT_PATHS
-            .iter()
-            .any(|exempt| rel == Path::new(exempt))
-}
-
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
@@ -268,40 +211,4 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A spawn is flagged in any non-exempt file of a disciplined crate
-    /// (a pool-named file included), and in none of the exempt paths.
-    #[test]
-    fn thread_spawns_are_flagged_outside_the_exempt_paths_only() {
-        let source = "pub fn f() {\n    std::thread::spawn(|| {});\n}\n";
-        let spawns = |crate_name: &str, rel: &str| {
-            let rules = RuleSet {
-                thread_discipline: thread_discipline_applies(crate_name, Path::new(rel)),
-                ..RuleSet::default()
-            };
-            rules::audit_file(Path::new(rel), source, rules)
-                .violations
-                .iter()
-                .filter(|v| v.rule == Rule::ThreadDiscipline)
-                .count()
-        };
-        for (crate_name, rel) in [
-            ("server", "crates/server/src/batch.rs"),
-            ("core", "crates/core/src/store.rs"),
-            ("storage", "crates/storage/src/backend.rs"),
-            ("router", "crates/router/src/lib.rs"),
-            ("core", "crates/core/src/pool.rs"),
-        ] {
-            assert_eq!(spawns(crate_name, rel), 1, "{rel} must be flagged");
-        }
-        for rel in THREAD_DISCIPLINE_EXEMPT_PATHS {
-            let crate_name = rel.split('/').nth(1).unwrap_or_default();
-            assert_eq!(spawns(crate_name, rel), 0, "{rel} is exempt");
-        }
-    }
 }

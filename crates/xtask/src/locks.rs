@@ -63,8 +63,8 @@ struct Guard {
 }
 
 /// Scans every function body for guard-liveness and lock-order issues.
-pub fn scan(file: &Path, view: View<'_>, ast: &ast::Ast, out: &mut Vec<Violation>) {
-    for f in &ast.fns {
+pub fn scan(file: &Path, view: View<'_>, fns: &[ast::FnDecl], out: &mut Vec<Violation>) {
+    for f in fns {
         let Some((start, end)) = f.body else {
             continue;
         };

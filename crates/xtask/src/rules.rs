@@ -1,6 +1,5 @@
-//! The per-file audit rules: thread and metrics discipline and
-//! error-enum hygiene (lock discipline lives in [`crate::locks`], the
-//! registries in [`crate::registry`]).
+//! The per-file audit rules: metrics discipline and error-enum hygiene
+//! (lock discipline lives in [`crate::locks`]).
 //!
 //! All rules work on the token stream from [`crate::lexer`]; none of
 //! them require type information, and no comment can waive them.
@@ -19,21 +18,10 @@ pub enum Rule {
     /// submission, or a lock acquisition violating the declared lock
     /// order.
     LockDiscipline,
-    /// Ad-hoc OS-thread creation (`thread::spawn`, `thread::scope`,
-    /// `thread::Builder`) outside the shared scan-executor pool — all
-    /// unit-granular parallelism must go through `ScanExecutor`.
-    ThreadDiscipline,
     /// A `static` holding an `Atomic*` in the instrumented crates —
     /// global counters must be registered instruments in the
     /// `blot-obs` registry, or they are invisible to snapshots.
     MetricsDiscipline,
-    /// A `codec::scheme` variant without a complete toolchain (encoder,
-    /// decoder, round-trip proptest, fuzz target).
-    Registry,
-    /// A `server::wire` `Request`/`Response`/`ErrorCode` variant
-    /// without encode + decode arms, a client-side handling arm, and a
-    /// test-corpus mention.
-    WireRegistry,
 }
 
 impl Rule {
@@ -41,10 +29,7 @@ impl Rule {
     pub const ALL: &'static [Rule] = &[
         Rule::ErrorTraits,
         Rule::LockDiscipline,
-        Rule::ThreadDiscipline,
         Rule::MetricsDiscipline,
-        Rule::Registry,
-        Rule::WireRegistry,
     ];
 
     /// The name used in reports and `--explain`.
@@ -53,10 +38,7 @@ impl Rule {
         match self {
             Rule::ErrorTraits => "error-traits",
             Rule::LockDiscipline => "lock-discipline",
-            Rule::ThreadDiscipline => "thread-discipline",
             Rule::MetricsDiscipline => "metrics-discipline",
-            Rule::Registry => "registry",
-            Rule::WireRegistry => "wire-registry",
         }
     }
 
@@ -67,7 +49,8 @@ impl Rule {
             Rule::ErrorTraits => {
                 "Why: error enums that do not implement `std::error::Error + Send + Sync` \
                  cannot cross thread boundaries or be boxed uniformly, which the executor \
-                 and server layers rely on.\n\
+                 and server layers rely on. The rule finds every `pub enum *Error` by name, \
+                 so an enum is checked whether or not its author opted in.\n\
                  Fix: implement `Display` + `std::error::Error`, and add the\n\
                  `require_error_traits::<YourError>()` compile-time assertion next to the \
                  enum."
@@ -82,35 +65,11 @@ impl Rule {
                  before I/O or a pool submission, and acquire locks in the declared \
                  `LOCK_ORDER` (zones before failures before units)."
             }
-            Rule::ThreadDiscipline => {
-                "Why: ad-hoc `thread::spawn` bypasses the shared `ScanExecutor` pool, so \
-                 unit-scan work escapes its admission control and saturates the box under \
-                 load.\n\
-                 Fix: submit work through `ScanExecutor::execute_all`. Long-lived I/O loops \
-                 (accept/handler threads) belong in a file listed in \
-                 `THREAD_DISCIPLINE_EXEMPT_PATHS`, which review owns."
-            }
             Rule::MetricsDiscipline => {
                 "Why: a `static` atomic counter is invisible to `metrics_snapshot()` and \
                  `blot stats`, so drift accounting silently under-reports.\n\
                  Fix: register the counter as a `blot_obs` instrument and bump it through \
                  the registry handle."
-            }
-            Rule::Registry => {
-                "Why: a codec scheme variant without an encoder, decoder, round-trip \
-                 proptest and fuzz target can be selected at runtime but not actually \
-                 (de)serialised — a latent data-loss bug.\n\
-                 Fix: add the dispatch arms in `EncodingScheme::{encode,decode}`, a \
-                 `<variant>_roundtrips` property test, and register the fuzz target in \
-                 `xtask::fuzz`."
-            }
-            Rule::WireRegistry => {
-                "Why: a `Request`/`Response`/`ErrorCode` variant without encode + decode \
-                 arms, client handling and test coverage is a protocol hole: one peer can \
-                 emit what the other cannot parse, and nothing fails until production.\n\
-                 Fix: add the arms in `wire.rs` (`encode`, `decode`, `from_u16`), give the \
-                 client a handling arm or `disposition(...)` entry, and cover the variant \
-                 in the e2e or unit tests."
             }
         }
     }
@@ -167,9 +126,6 @@ pub struct FileReport {
 pub struct RuleSet {
     /// Guard liveness and lock ordering (rule `lock-discipline`).
     pub lock_discipline: bool,
-    /// No ad-hoc thread creation outside the executor pool (rule
-    /// `thread-discipline`).
-    pub thread_discipline: bool,
     /// No `static` atomics outside the metrics registry (rule
     /// `metrics-discipline`).
     pub metrics_discipline: bool,
@@ -189,16 +145,12 @@ pub fn audit_file(file: &Path, source: &str, rules: RuleSet) -> FileReport {
 
     // Per-site rules.
     let out = &mut report.violations;
-    if rules.thread_discipline {
-        scan_thread_spawns(file, &tokens, &sig, out);
-    }
     if rules.metrics_discipline {
         scan_static_atomics(file, &tokens, &sig, out);
     }
     if rules.lock_discipline {
         let view = crate::ast::View::new(&tokens, &sig);
-        let ast = crate::ast::parse(view);
-        crate::locks::scan(file, view, &ast, out);
+        crate::locks::scan(file, view, &crate::ast::parse(view), out);
     }
 
     // Error enums / impls / assertions (crate-level aggregation).
@@ -206,19 +158,10 @@ pub fn audit_file(file: &Path, source: &str, rules: RuleSet) -> FileReport {
     report
 }
 
-/// Lexes `source` and returns the token list together with the indices
-/// of its significant non-test tokens — the inputs the [`crate::ast`]
-/// layer works from.
-#[must_use]
-pub fn lex_significant(source: &str) -> (Vec<Token>, Vec<usize>) {
-    let tokens = lex(source);
-    let sig = significant_non_test(&tokens);
-    (tokens, sig)
-}
-
 /// Indices of Ident/Punct/Literal tokens that are not inside a
-/// `#[cfg(test)]` item.
-fn significant_non_test(tokens: &[Token]) -> Vec<usize> {
+/// test-only (`#[cfg(test)]`-style) item — the input the [`crate::ast`]
+/// layer works from.
+pub(crate) fn significant_non_test(tokens: &[Token]) -> Vec<usize> {
     let all: Vec<usize> = tokens
         .iter()
         .enumerate()
@@ -239,31 +182,51 @@ fn significant_non_test(tokens: &[Token]) -> Vec<usize> {
     keep
 }
 
-/// Does the significant-token position `k` start a `#[cfg(test)]`-style
-/// attribute (any `cfg(…)` mentioning `test`)?
+/// Does the significant-token position `k` start a `#[cfg(…)]` whose
+/// predicate holds only in test builds? `cfg(not(test))` items are
+/// production code and stay visible to every rule.
 fn is_cfg_test_attr(tokens: &[Token], all: &[usize], k: usize) -> bool {
     let text = |j: usize| all.get(j).map(|&i| tokens[i].text.as_str());
-    if text(k) != Some("#") || text(k + 1) != Some("[") || text(k + 2) != Some("cfg") {
-        return false;
-    }
-    // Scan the attribute's bracket group for the ident `test`.
-    let mut depth = 0usize;
-    let mut j = k + 1;
-    while let Some(t) = text(j) {
-        match t {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
+    text(k) == Some("#")
+        && text(k + 1) == Some("[")
+        && text(k + 2) == Some("cfg")
+        && text(k + 3) == Some("(")
+        && requires_test(tokens, all, k + 4).0
+}
+
+/// Parses the cfg predicate at significant-token position `j`: whether
+/// it implies `test` (`test`, an `all(…)` with such a member, an
+/// `any(…)` of only such members; never a `not(…)`), and the position
+/// just past it.
+fn requires_test(tokens: &[Token], all: &[usize], j: usize) -> (bool, usize) {
+    let text = |j: usize| all.get(j).map(|&i| tokens[i].text.as_str());
+    match (text(j), text(j + 1)) {
+        (Some(op @ ("all" | "any" | "not")), Some("(")) => {
+            let mut members = Vec::new();
+            let mut k = j + 2;
+            while let Some(t) = text(k) {
+                match t {
+                    ")" => break,
+                    "," => k += 1,
+                    _ => {
+                        let (required, next) = requires_test(tokens, all, k);
+                        members.push(required);
+                        k = next;
+                    }
                 }
             }
-            "test" => return true,
-            _ => {}
+            let required = match op {
+                "all" => members.contains(&true),
+                "any" => !members.is_empty() && !members.contains(&false),
+                _ => false,
+            };
+            (required, k + 1)
         }
-        j += 1;
+        (Some("test"), _) => (true, j + 1),
+        // `feature = "off"`: a name, `=` and a string.
+        (_, Some("=")) => (false, j + 3),
+        _ => (false, j + 1),
     }
-    false
 }
 
 /// Skips from an attribute at position `k` past the item it decorates:
@@ -290,32 +253,6 @@ fn skip_attributed_item(tokens: &[Token], all: &[usize], k: usize) -> usize {
         j += 1;
     }
     all.len()
-}
-
-/// Flags `thread::spawn`, `thread::scope` and `thread::Builder` in
-/// non-test library code: every unit-granular task must run on the
-/// shared `ScanExecutor` pool (the files in
-/// `THREAD_DISCIPLINE_EXEMPT_PATHS` are exempt at the crate-wiring
-/// level).
-fn scan_thread_spawns(file: &Path, tokens: &[Token], sig: &[usize], out: &mut Vec<Violation>) {
-    let text = |j: usize| sig.get(j).map(|&i| tokens[i].text.as_str());
-    for j in 0..sig.len() {
-        if text(j) != Some("thread") || text(j + 1) != Some(":") || text(j + 2) != Some(":") {
-            continue;
-        }
-        if let Some(m) = text(j + 3) {
-            if matches!(m, "spawn" | "scope" | "Builder") {
-                out.push(Violation {
-                    rule: Rule::ThreadDiscipline,
-                    file: file.to_path_buf(),
-                    line: tokens[sig[j]].line,
-                    message: format!(
-                        "`thread::{m}` outside the executor pool — run tasks on `ScanExecutor`"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 /// Flags `static` items whose declared type mentions an `Atomic*`
@@ -395,7 +332,6 @@ mod tests {
             Path::new("test.rs"),
             source,
             RuleSet {
-                thread_discipline: true,
                 metrics_discipline: true,
                 ..RuleSet::default()
             },
@@ -404,7 +340,7 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_fire() {
-        let r = audit("fn f() { let s = \"thread::spawn(g)\"; } // thread::spawn in a comment\n");
+        let r = audit("fn f() { let s = \"static A: AtomicU64\"; } // static B: AtomicU64\n");
         assert!(r.violations.is_empty());
     }
 

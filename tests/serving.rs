@@ -8,6 +8,7 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
+    clippy::disallowed_methods,
     clippy::indexing_slicing
 )]
 use std::sync::Arc;
