@@ -105,10 +105,9 @@ commands:
   repair    --store DIR
   stats     --store DIR [--queries N] [--probe centroid|tail|mixed] [--json] [--band LO,HI]
   stats     --remote ADDR [--json] [--band LO,HI]
-  trace     --store DIR [--queries N] [--json|--chrome] [--slow MS] [--last N] [--slow-log MS]
+  trace     --store DIR [--queries N] [--json|--chrome] [--slow MS] [--last N]
   trace     --remote ADDR [--json|--chrome] [--slow MS] [--last N]
   serve     --store DIR [--addr HOST:PORT] [--max-conns N] [--queue-depth N] [--handlers N]
-            [--slow-log MS]
   route serve --shard ADDR [--shard ADDR …] [--addr HOST:PORT] [--cuts V1,V2,…] [--axis x|y|t]
             [--map-version N] [--conns-per-shard N] [--shard-retries N]
 
@@ -493,15 +492,14 @@ fn cmd_scrub(args: &Args) -> Result<(), String> {
 fn cmd_repair(args: &Args) -> Result<(), String> {
     let store = open_store(args)?;
     let report = store.repair_all().map_err(|e| e.to_string())?;
-    if blot_obs::enabled() {
-        pipe_println(&format!(
-            "scanned {} units ({} verified clean, {} footer mismatches)",
-            report.units_scanned, report.units_verified, report.units_footer_mismatch
-        ));
-    }
+    pipe_println(&format!(
+        "scanned {} units ({} verified clean, {} footer mismatches)",
+        report.units_scanned, report.units_verified, report.units_footer_mismatch
+    ));
     pipe_println(&format!(
         "repaired {} units, {} unrecoverable",
-        report.units_repaired, report.units_failed
+        report.repaired.len(),
+        report.unrecoverable.len()
     ));
     for key in &report.unrecoverable {
         pipe_println(&format!("  unrecoverable: {key}"));
@@ -763,9 +761,6 @@ fn probe_trace_json(args: &Args, slow_ms: f64, last: u32) -> Result<String, Stri
     if !blot_obs::enabled() {
         return Err("tracing is compiled out (blot-obs `off` feature)".into());
     }
-    if let Some(ms) = args.get_parsed::<f64>("slow-log")? {
-        store.set_slow_query_ms(ms);
-    }
     let rounds = args.get_parsed::<u32>("queries")?.unwrap_or(8);
     let u = store.universe();
     for k in 0..rounds {
@@ -777,9 +772,6 @@ fn probe_trace_json(args: &Args, slow_ms: f64, last: u32) -> Result<String, Stri
         for result in store.query_batch_traced(&[TracedQuery::new(q)]) {
             result.map_err(|e| format!("probe query failed: {e}"))?;
         }
-    }
-    for entry in store.drain_slow_queries() {
-        eprintln!("{}", entry.to_line());
     }
     let records = store.recorder().snapshot();
     let records = blot_obs::trace::filter_slow(&records, slow_ms);
@@ -837,9 +829,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     if let Some(n) = args.get_parsed::<usize>("max-batch")? {
         config.max_batch = n.max(1);
-    }
-    if let Some(ms) = args.get_parsed::<f64>("slow-log")? {
-        config.slow_query_ms = ms.max(0.0);
     }
     let server = blot_server::Server::start(std::sync::Arc::new(store), addr, config)
         .map_err(|e| e.to_string())?;

@@ -170,7 +170,7 @@ fn stats_reports_metrics_and_drift() {
     // Text mode: metric table plus the drift section.
     let (ok, out) = blot(&["stats", "--store", &store, "--queries", "10"]);
     assert!(ok, "{out}");
-    assert!(out.contains("store.queries"), "{out}");
+    assert!(out.contains("store.query_wall_ms"), "{out}");
     assert!(out.contains("cost-model drift"), "{out}");
 
     // JSON mode: parse and assert the probe workload left non-zero
@@ -181,7 +181,12 @@ fn stats_reports_metrics_and_drift() {
     assert_eq!(doc.field("enabled").unwrap().as_bool(), Some(true));
     let counters = doc.field("metrics").unwrap().field("counters").unwrap();
     let counter = |name: &str| counters.get(name).and_then(blot_json::Json::as_u64);
-    assert_eq!(counter("store.queries"), Some(10), "{out}");
+    let histograms = doc.field("metrics").unwrap().field("histograms").unwrap();
+    let queries = histograms
+        .get("store.query_wall_ms")
+        .and_then(|h| h.get("count"))
+        .and_then(blot_json::Json::as_u64);
+    assert_eq!(queries, Some(10), "{out}");
     assert!(counter("store.units_scanned").unwrap() > 0, "{out}");
     assert!(counter("store.records_decoded").unwrap() > 0, "{out}");
     let pool_tasks =

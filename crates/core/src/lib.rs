@@ -92,8 +92,7 @@ pub mod prelude {
         Selection,
     };
     pub use crate::store::{
-        BlotStore, QueryResult, QueryService, ScanPlan, SharedStore, SlowQueryEntry, TracedQuery,
-        UnitEntry,
+        BlotStore, QueryResult, QueryService, ScanPlan, TracedQuery, UnitEntry,
     };
     pub use crate::units::{Bytes, Millis, PartitionCount, Seconds};
     pub use crate::CoreError;

@@ -25,11 +25,10 @@ use blot_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 #[derive(Debug)]
 pub struct StoreMetrics {
     registry: MetricsRegistry,
-    /// Queries accepted by [`query`](crate::store::BlotStore::query).
-    pub queries: Counter,
     /// Replicas that failed before one answered, summed over queries.
     pub query_failovers: Counter,
-    /// Host wall-clock per `query` call, milliseconds.
+    /// Host wall-clock per routed query, milliseconds; its count is the
+    /// number of queries accepted.
     pub query_wall_ms: Histogram,
     /// Simulated (paper) milliseconds per executed query.
     pub query_sim_ms: Histogram,
@@ -92,7 +91,6 @@ impl StoreMetrics {
     pub fn register(registry: &MetricsRegistry) -> Self {
         Self {
             registry: registry.clone(),
-            queries: registry.counter("store.queries"),
             query_failovers: registry.counter("store.query_failovers"),
             query_wall_ms: registry.histogram("store.query_wall_ms"),
             query_sim_ms: registry.histogram("store.query_sim_ms"),
@@ -143,7 +141,6 @@ impl StoreMetrics {
         let label = scheme.metric_label();
         ReplicaMetrics {
             routed_first: self.registry.counter(&format!("replica.{id}.routed_first")),
-            queries: self.registry.counter(&format!("replica.{id}.queries")),
             sim_ms: self.registry.histogram(&format!("replica.{id}.sim_ms")),
             drift: self
                 .registry
@@ -163,9 +160,7 @@ impl Default for StoreMetrics {
 pub struct ReplicaMetrics {
     /// Times this replica was the routing winner (estimated cheapest).
     pub routed_first: Counter,
-    /// Queries actually executed on this replica.
-    pub queries: Counter,
-    /// Simulated milliseconds per query on this replica.
+    /// Simulated milliseconds per query executed on this replica.
     pub sim_ms: Histogram,
     /// Predicted/actual cost ratio per query (see [`DriftReport`]).
     pub drift: Histogram,

@@ -12,8 +12,11 @@
     clippy::cast_possible_truncation,
     clippy::cast_possible_wrap,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    clippy::cast_precision_loss,
+    clippy::disallowed_methods
 )]
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
 use blot_codec::{ZoneMap, ZONE_MAP_FOOTER_LEN};
 use blot_core::prelude::*;
 use blot_core::store::BlotStore;
@@ -177,6 +180,9 @@ fn headroom_query_skips_every_involved_unit() {
         route.note_value(names::BYTES_SKIPPED),
         Some(traced.bytes_skipped)
     );
+    // Predicted 0, measured 0: the merge span notes agreement.
+    let merge = spans.iter().find(|r| r.name == names::MERGE).unwrap();
+    assert_eq!(merge.note_value(names::DRIFT_PERMILLE), Some(1_000));
 }
 
 #[test]
@@ -290,7 +296,7 @@ fn legacy_units_scan_identically_and_scrub_flags_them() {
     // Repair rewrites them with fresh footers and counts the mismatches.
     let report = store.repair_all().unwrap();
     assert_eq!(report.units_footer_mismatch, stripped.len() as u64);
-    assert_eq!(report.units_repaired, stripped.len() as u64);
+    assert_eq!(report.repaired.len(), stripped.len());
     assert!(report.unrecoverable.is_empty());
     assert!(store.scrub().unwrap().is_empty(), "post-repair scrub clean");
 
@@ -302,6 +308,37 @@ fn legacy_units_scan_identically_and_scrub_flags_them() {
         fingerprint(&result.records),
         fingerprint(&RecordBatch::new())
     );
+}
+
+#[test]
+fn repair_counts_its_own_scrub_not_a_concurrent_one() {
+    let (store, _) = store_with_data();
+    let units: usize = store.replicas().iter().map(|r| r.scheme.len()).sum();
+    let (scrubs, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let reports: Vec<_> = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                // Counted before the assertion, so a failing scrub ends
+                // this thread without leaving the main one waiting.
+                let clean = store.scrub().is_ok_and(|damaged| damaged.is_empty());
+                scrubs.fetch_add(1, Ordering::Release);
+                assert!(clean, "the store is healthy");
+            }
+        });
+        while scrubs.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        let reports = (0..4).map(|_| store.repair_all()).collect();
+        stop.store(true, Ordering::Release);
+        reports
+    });
+    for report in reports {
+        let report = report.unwrap();
+        assert_eq!(report.units_scanned, units as u64);
+        assert_eq!(report.units_verified, units as u64);
+        assert_eq!(report.units_footer_mismatch, 0);
+        assert!(report.repaired.is_empty() && report.unrecoverable.is_empty());
+    }
 }
 
 #[test]

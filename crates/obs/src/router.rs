@@ -16,12 +16,11 @@ use crate::registry::MetricsRegistry;
 /// Cheap to clone; clones share the underlying cells.
 #[derive(Debug, Clone)]
 pub struct RouterMetrics {
-    /// Scatter-gather queries executed (`router.queries`).
-    pub queries: Counter,
     /// Queries answered without touching every shard because the shard
     /// map pruned the fan-out (`router.fanout_pruned`).
     pub fanout_pruned: Counter,
-    /// Shards touched per query (`router.fanout`).
+    /// Shards touched per query (`router.fanout`); its count is the
+    /// number of scatter-gather queries executed.
     pub fanout: Histogram,
     /// Wall-clock scatter→gather latency per query, in milliseconds
     /// (`router.gather_ms`).
@@ -52,7 +51,6 @@ impl RouterMetrics {
             .map(|i| registry.counter(&format!("router.shard{i}.errors")))
             .collect();
         Self {
-            queries: registry.counter("router.queries"),
             fanout_pruned: registry.counter("router.fanout_pruned"),
             fanout: registry.histogram("router.fanout"),
             gather_ms: registry.histogram("router.gather_ms"),
@@ -74,16 +72,14 @@ mod tests {
         let m = RouterMetrics::register(&registry, 4);
         assert_eq!(m.shard_queries.len(), 4);
         assert_eq!(m.shard_errors.len(), 4);
-        m.queries.inc();
         m.fanout.record(3.0);
         for c in &m.shard_queries {
             c.inc();
         }
         let snap = registry.snapshot();
         if crate::enabled() {
-            assert_eq!(snap.counter("router.queries"), Some(1));
             assert_eq!(snap.counter("router.shard3.queries"), Some(1));
-            assert!(snap.histogram("router.fanout").is_some());
+            assert_eq!(snap.histogram("router.fanout").map(|h| h.count()), Some(1));
         }
     }
 }

@@ -35,10 +35,9 @@ pub struct ServerMetrics {
     /// Wall-clock latency from frame decode to reply write, in
     /// milliseconds (`server.request_ms`).
     pub request_ms: Histogram,
-    /// Queries per pooled micro-batch (`server.batch_size`).
+    /// Queries per pooled micro-batch (`server.batch_size`); its count
+    /// is the number of micro-batches executed.
     pub batch_size: Histogram,
-    /// Micro-batches executed (`server.batches`).
-    pub batches: Counter,
 }
 
 impl ServerMetrics {
@@ -56,7 +55,6 @@ impl ServerMetrics {
             request_errors: registry.counter("server.request_errors"),
             request_ms: registry.histogram("server.request_ms"),
             batch_size: registry.histogram("server.batch_size"),
-            batches: registry.counter("server.batches"),
         }
     }
 }

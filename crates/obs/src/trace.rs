@@ -56,23 +56,21 @@ const VOCAB: &[&str] = &[
     "server.request",   // 5
     "server.admission", // 6
     "server.batch",     // 7
-    "client",           // 8
-    "replica",          // 9
-    "units",            // 10
-    "units_skipped",    // 11
-    "bytes",            // 12
-    "bytes_skipped",    // 13
-    "records",          // 14
-    "batch_size",       // 15
-    "drift_permille",   // 16
-    "queries",          // 17
-    "failed_over",      // 18
-    "partition",        // 19
-    "queue_us",         // 20
-    "router.query",     // 21
-    "router.shard",     // 22
-    "shard",            // 23
-    "fanout",           // 24
+    "replica",          // 8
+    "units",            // 9
+    "units_skipped",    // 10
+    "bytes",            // 11
+    "bytes_skipped",    // 12
+    "records",          // 13
+    "batch_size",       // 14
+    "drift_permille",   // 15
+    "failed_over",      // 16
+    "partition",        // 17
+    "queue_us",         // 18
+    "router.query",     // 19
+    "router.shard",     // 20
+    "shard",            // 21
+    "fanout",           // 22
 ];
 
 /// A span name or annotation key: an index into the static vocabulary.
@@ -102,7 +100,8 @@ pub mod names {
     /// Replica choice + task planning stage, zone-map pruning against
     /// the in-memory partition index included.
     pub const ROUTE: Name = Name(1);
-    /// Result assembly: merge per-unit outputs, drift accounting.
+    /// Result assembly: merge per-unit outputs, drift accounting (notes
+    /// [`DRIFT_PERMILLE`]).
     pub const MERGE: Name = Name(2);
     /// One storage unit's scan task (worker thread).
     pub const SCAN_UNIT: Name = Name(3);
@@ -114,40 +113,37 @@ pub mod names {
     pub const SERVER_ADMISSION: Name = Name(6);
     /// Batch residency: drain → response slot filled.
     pub const SERVER_BATCH: Name = Name(7);
-    /// Client-side root span around one remote call.
-    pub const CLIENT: Name = Name(8);
     /// Key: replica id routed to.
-    pub const REPLICA: Name = Name(9);
+    pub const REPLICA: Name = Name(8);
     /// Key: units involved (zone-map-skipped ones included).
-    pub const UNITS: Name = Name(10);
+    pub const UNITS: Name = Name(9);
     /// Key: units skipped via zone maps.
-    pub const UNITS_SKIPPED: Name = Name(11);
+    pub const UNITS_SKIPPED: Name = Name(10);
     /// Key: bytes transferred.
-    pub const BYTES: Name = Name(12);
+    pub const BYTES: Name = Name(11);
     /// Key: payload bytes pruning avoided.
-    pub const BYTES_SKIPPED: Name = Name(13);
+    pub const BYTES_SKIPPED: Name = Name(12);
     /// Key: records matched.
-    pub const RECORDS: Name = Name(14);
+    pub const RECORDS: Name = Name(13);
     /// Key: queries in the same server batch.
-    pub const BATCH_SIZE: Name = Name(15);
-    /// Key: predicted/measured cost ratio × 1000.
-    pub const DRIFT_PERMILLE: Name = Name(16);
-    /// Key: query count (batch roots).
-    pub const QUERIES: Name = Name(17);
+    pub const BATCH_SIZE: Name = Name(14);
+    /// Key: predicted/measured cost ratio × 1000, rounded; 1000 when
+    /// every unit was pruned.
+    pub const DRIFT_PERMILLE: Name = Name(15);
     /// Key: replicas failed over before this one answered.
-    pub const FAILED_OVER: Name = Name(18);
+    pub const FAILED_OVER: Name = Name(16);
     /// Key: partition index of a scanned unit.
-    pub const PARTITION: Name = Name(19);
+    pub const PARTITION: Name = Name(17);
     /// Key: microseconds a request waited in the admission queue.
-    pub const QUEUE_US: Name = Name(20);
+    pub const QUEUE_US: Name = Name(18);
     /// Coordinator-side root of one scatter-gather query.
-    pub const ROUTER_QUERY: Name = Name(21);
+    pub const ROUTER_QUERY: Name = Name(19);
     /// One shard's leg of a scatter-gather query (dispatch → reply).
-    pub const ROUTER_SHARD: Name = Name(22);
+    pub const ROUTER_SHARD: Name = Name(20);
     /// Key: shard id a sub-query was routed to.
-    pub const SHARD: Name = Name(23);
+    pub const SHARD: Name = Name(21);
     /// Key: shards a query fanned out to.
-    pub const FANOUT: Name = Name(24);
+    pub const FANOUT: Name = Name(22);
 }
 
 /// 128-bit trace identifier. Plain data — real in every build, because

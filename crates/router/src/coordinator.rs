@@ -222,7 +222,6 @@ impl Coordinator {
             None => self.recorder.span(names::ROUTER_QUERY),
         };
         let targets = self.map.fanout(range);
-        self.metrics.queries.inc();
         #[allow(clippy::cast_precision_loss)]
         self.metrics.fanout.record(targets.len() as f64);
         if targets.len() < self.map.len() as usize {

@@ -341,10 +341,7 @@ pub fn run_lane<S: QueryService + ?Sized>(service: &S, queue: &AdmissionQueue) {
     let recorder = service.recorder();
     while let Some((mut batch, drained)) = queue.next_batch() {
         #[allow(clippy::cast_precision_loss)]
-        {
-            queue.metrics.batches.inc();
-            queue.metrics.batch_size.record(batch.len() as f64);
-        }
+        queue.metrics.batch_size.record(batch.len() as f64);
         let batch_size = batch.len() as u64;
         // Close each query's admission span: its duration is exactly
         // the time the query sat in the queue before this drain.
@@ -395,11 +392,6 @@ pub fn run_lane<S: QueryService + ?Sized>(service: &S, queue: &AdmissionQueue) {
                 batch_ms: now.duration_since(drained).as_secs_f64() * 1_000.0,
                 store_ms,
             });
-        }
-        // Slow queries detected during this round surface on stderr as
-        // structured single-line records.
-        for entry in service.drain_slow_queries() {
-            eprintln!("{}", entry.to_line());
         }
         let elapsed = drained.elapsed().as_millis();
         queue.last_batch_ms.store(

@@ -41,10 +41,6 @@ pub struct ServerConfig {
     pub io_timeout: Duration,
     /// How long a connection handler waits for its query's batch.
     pub request_timeout: Duration,
-    /// Slow-query threshold in simulated milliseconds; queries whose
-    /// measured cost exceeds it land in the store's slow-query log,
-    /// which the batch lanes drain to stderr. `0.0` disables the log.
-    pub slow_query_ms: f64,
 }
 
 impl Default for ServerConfig {
@@ -58,7 +54,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(10),
             request_timeout: Duration::from_secs(30),
-            slow_query_ms: 0.0,
         }
     }
 }
@@ -154,7 +149,6 @@ impl Server {
         let registry = service.metrics_registry();
         let metrics = ServerMetrics::register(&registry);
         let executor = service.executor();
-        service.set_slow_query_ms(config.slow_query_ms);
         let flag = ShutdownFlag::new();
         let queue = AdmissionQueue::new(
             config.queue_depth,

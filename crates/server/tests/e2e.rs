@@ -457,7 +457,7 @@ fn stats_remote_reply_matches_local_snapshot_shape() {
         let counters = metrics.get("counters").unwrap();
         assert!(counters.get("server.requests").is_some());
         assert!(
-            counters.get("store.queries").is_some() || {
+            counters.get("store.units_scanned").is_some() || {
                 // Store counter names are the store's concern; just require
                 // a non-empty counter table alongside the server's.
                 matches!(counters, blot_json::Json::Obj(pairs) if !pairs.is_empty())

@@ -138,14 +138,6 @@ impl<S: QueryService + ?Sized> QueryService for Latched<S> {
         self.inner.recorder()
     }
 
-    fn set_slow_query_ms(&self, ms: f64) {
-        self.inner.set_slow_query_ms(ms);
-    }
-
-    fn drain_slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.inner.drain_slow_queries()
-    }
-
     fn metrics_registry(&self) -> blot_obs::MetricsRegistry {
         self.inner.metrics_registry()
     }
